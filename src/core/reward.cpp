@@ -1,5 +1,7 @@
 #include "core/reward.hpp"
 
+#include <tuple>
+
 namespace mabfuzz::core {
 
 RewardBreakdown compute_reward(const RewardConfig& config,
@@ -7,8 +9,8 @@ RewardBreakdown compute_reward(const RewardConfig& config,
                                const coverage::Map& arm_coverage,
                                const coverage::Map& global_coverage) {
   RewardBreakdown out;
-  out.cov_local = test_coverage.count_new(arm_coverage);
-  out.cov_global = test_coverage.count_new(global_coverage);
+  std::tie(out.cov_local, out.cov_global) =
+      test_coverage.count_new_pair(arm_coverage, global_coverage);
   out.reward = config.alpha * static_cast<double>(out.cov_local) +
                (1.0 - config.alpha) * static_cast<double>(out.cov_global);
   return out;

@@ -77,8 +77,13 @@ fuzz::StepResult MabScheduler::step() {
   result.mismatch = outcome_.mismatch;
   result.firings = outcome_.firings;
   result.arm = selected;
-  result.new_global_points = global_.absorb(outcome_.coverage);
-  arm.coverage().merge(outcome_.coverage);
+  // The reward already counted the test against both maps; a map with no
+  // new point is a subset, so its merge would be a no-op.
+  result.new_global_points =
+      global_.absorb_counted(outcome_.coverage, reward.cov_global);
+  if (reward.cov_local > 0) {
+    arm.coverage().merge(outcome_.coverage);
+  }
   if (config_.corpus) {
     config_.corpus->offer(test, outcome_.coverage);
   }

@@ -46,6 +46,11 @@ class Map {
   /// Number of bits set in `this` but not in `other` (|this \ other|).
   [[nodiscard]] std::size_t count_new(const Map& other) const noexcept;
 
+  /// {|this \ a|, |this \ b|} in one pass over this map's words — the
+  /// reward's covL (against the arm map) and covG (against the global map).
+  [[nodiscard]] std::pair<std::size_t, std::size_t> count_new_pair(
+      const Map& a, const Map& b) const noexcept;
+
   /// Bits set in `this` but not in `other`, as a new map.
   [[nodiscard]] Map difference(const Map& other) const;
 
@@ -110,6 +115,11 @@ class Accumulator {
 
   /// Merges a test's hit map; returns how many points were globally new.
   std::size_t absorb(const Map& test_map);
+
+  /// absorb() for a caller that already counted the test's globally-new
+  /// points against global() (e.g. the reward's covG): merges only when
+  /// `fresh` > 0, since a map with nothing new is already a subset.
+  std::size_t absorb_counted(const Map& test_map, std::size_t fresh);
 
   [[nodiscard]] const Map& global() const noexcept { return global_; }
   [[nodiscard]] std::size_t covered() const noexcept { return global_.count(); }

@@ -2,29 +2,52 @@
 
 #include <algorithm>
 #include <map>
+#include <string_view>
 
 namespace mabfuzz::coverage {
 
 namespace {
 
-std::string stem_of(const std::string& name) {
-  const auto bracket = name.find('[');
-  return bracket == std::string::npos ? name : name.substr(0, bracket);
+// A key is a point name cut at its first '[' (stem) or '/' (unit); these
+// return the cut position.
+std::size_t stem_length(std::string_view name) {
+  return std::min(name.find('['), name.size());
 }
 
-std::string unit_of(const std::string& name) {
-  const auto slash = name.find('/');
-  return slash == std::string::npos ? name : name.substr(0, slash);
+std::size_t unit_length(std::string_view name) {
+  return std::min(name.find('/'), name.size());
 }
 
-std::vector<GroupSummary> summarize_by(const Registry& registry, const Map& covered,
-                                       std::string (*key)(const std::string&)) {
+std::size_t covered_in(const Map& covered, const PointGroup& group) {
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < group.count; ++i) {
+    n += covered.test(group.base + static_cast<PointId>(i)) ? 1 : 0;
+  }
+  return n;
+}
+
+std::vector<GroupSummary> summarize_by(
+    const Registry& registry, const Map& covered,
+    std::size_t (*key_length)(std::string_view)) {
   std::map<std::string, GroupSummary> groups;
-  for (PointId id = 0; id < registry.size(); ++id) {
-    GroupSummary& g = groups[key(registry.name(id))];
-    ++g.total;
-    if (covered.test(id)) {
-      ++g.covered;
+  for (const PointGroup& group : registry.groups()) {
+    // Every point of a group shares its key when the cut falls inside the
+    // prefix or on the '[' opening the index. Otherwise (an array whose
+    // prefix lacks the '/' a unit key cuts at) the key holds the index, so
+    // each point is keyed by its own name.
+    const std::string first = group.point_name(0);
+    const std::size_t cut = key_length(first);
+    if (!group.array || cut <= group.prefix.size()) {
+      GroupSummary& g = groups[first.substr(0, cut)];
+      g.total += group.count;
+      g.covered += covered_in(covered, group);
+      continue;
+    }
+    for (std::size_t i = 0; i < group.count; ++i) {
+      const std::string name = group.point_name(i);
+      GroupSummary& g = groups[name.substr(0, key_length(name))];
+      ++g.total;
+      g.covered += covered.test(group.base + static_cast<PointId>(i)) ? 1 : 0;
     }
   }
   std::vector<GroupSummary> out;
@@ -45,12 +68,12 @@ std::vector<GroupSummary> summarize_by(const Registry& registry, const Map& cove
 
 std::vector<GroupSummary> summarize_groups(const Registry& registry,
                                            const Map& covered) {
-  return summarize_by(registry, covered, stem_of);
+  return summarize_by(registry, covered, stem_length);
 }
 
 std::vector<GroupSummary> summarize_units(const Registry& registry,
                                           const Map& covered) {
-  return summarize_by(registry, covered, unit_of);
+  return summarize_by(registry, covered, unit_length);
 }
 
 }  // namespace mabfuzz::coverage

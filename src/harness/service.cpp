@@ -314,7 +314,7 @@ bool CampaignService::cancel(std::string_view name) {
   }
   if (job->state == JobState::kPaused) {
     // No lane will visit a parked job; finalize it here.
-    finish_job(lock, *job, JobState::kCancelled, {});
+    finish_job(*job, JobState::kCancelled, {});
     return true;
   }
   job->cancel_requested = true;
@@ -481,8 +481,7 @@ void CampaignService::write_artifacts(Job& job, const RunResult& run) {
 /// lifecycle event. Caller holds the service mutex; the event is emitted
 /// with it held (lock order mutex_ -> events_mutex_ is acquired nowhere
 /// in reverse).
-void CampaignService::finish_job(std::unique_lock<std::mutex>& lock, Job& job,
-                                 JobState state, std::string error) {
+void CampaignService::finish_job(Job& job, JobState state, std::string error) {
   job.state = state;
   job.error = std::move(error);
   if (job.campaign != nullptr) {
@@ -528,10 +527,10 @@ void CampaignService::finish_job(std::unique_lock<std::mutex>& lock, Job& job,
     std::remove(checkpoint_path(job).c_str());
   }
 
-  lock.unlock();
+  // Emitted before the lock is released: drain() cannot return between the
+  // state change and the event reaching the sink.
   emit_event(std::move(line).str());
   drain_cv_.notify_all();
-  lock.lock();
 }
 
 void CampaignService::run_one_slice(Job& job) {
@@ -564,9 +563,9 @@ void CampaignService::run_one_slice(Job& job) {
   job.covered = job.campaign->covered();
   job.mismatches = job.campaign->mismatches();
   if (failed) {
-    finish_job(lock, job, JobState::kFailed, std::move(error));
+    finish_job(job, JobState::kFailed, std::move(error));
   } else if (finished.has_value()) {
-    finish_job(lock, job, JobState::kDone, {});
+    finish_job(job, JobState::kDone, {});
   } else {
     job.state = JobState::kQueued;
     runnable_.push_back(&job);  // round-robin: back of the queue
@@ -588,14 +587,15 @@ void CampaignService::lane_loop() {
     runnable_.pop_front();
     // Control requests land at slice boundaries only.
     if (job->cancel_requested) {
-      finish_job(lock, *job, JobState::kCancelled, {});
+      finish_job(*job, JobState::kCancelled, {});
       continue;
     }
     if (job->pause_requested) {
       job->pause_requested = false;
       job->state = JobState::kPaused;
-      // Built under the lock: once it is released a concurrent resume()
-      // may hand the job to another lane, which would race these reads.
+      // Built and emitted under the lock: once it is released a concurrent
+      // resume() may hand the job to another lane, which would race these
+      // reads, and drain() may return before the event is out.
       std::ostringstream line;
       common::JsonWriter json(line, /*pretty=*/false);
       json.begin_object();
@@ -603,9 +603,7 @@ void CampaignService::lane_loop() {
       json.key("job").value(job->spec.name);
       json.key("test").value(job->tests_executed);
       json.end_object();
-      const std::string event = std::move(line).str();
-      lock.unlock();
-      emit_event(event);
+      emit_event(std::move(line).str());
       drain_cv_.notify_all();
       continue;
     }

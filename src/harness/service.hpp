@@ -103,7 +103,9 @@ struct JobStatus {
 class CampaignService {
  public:
   /// `events`: optional stream for the JSON event lines (caller keeps it
-  /// alive past stop()); nullptr disables event emission.
+  /// alive past stop()); nullptr disables event emission. Terminal and
+  /// paused events are written with the service mutex held, so the stream
+  /// must not call back into the service.
   explicit CampaignService(ServiceConfig config, std::ostream* events = nullptr);
   /// Implies stop().
   ~CampaignService();
@@ -152,8 +154,7 @@ class CampaignService {
 
   void lane_loop();
   void run_one_slice(Job& job);
-  void finish_job(std::unique_lock<std::mutex>& lock, Job& job,
-                  JobState state, std::string error);
+  void finish_job(Job& job, JobState state, std::string error);
   void write_artifacts(Job& job, const RunResult& run);
   void write_checkpoint(Job& job);
   [[nodiscard]] std::string checkpoint_path(const Job& job) const;

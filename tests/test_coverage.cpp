@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -12,6 +14,8 @@
 #include "coverage/map.hpp"
 #include "coverage/monitor.hpp"
 #include "coverage/registry.hpp"
+#include "soc/cores.hpp"
+#include "soc/pipeline.hpp"
 
 namespace mabfuzz::coverage {
 namespace {
@@ -32,6 +36,57 @@ TEST(Registry, ArrayRegistration) {
   EXPECT_EQ(base, 0u);
   EXPECT_EQ(reg.size(), 4u);
   EXPECT_EQ(reg.name(2), "cache/set[2]");
+}
+
+TEST(Registry, NameOutsideRegistryThrows) {
+  Registry reg;
+  EXPECT_THROW((void)reg.name(0), std::out_of_range);
+  reg.add_array("arr", 3);
+  reg.add("one");
+  EXPECT_EQ(reg.name(3), "one");
+  EXPECT_THROW((void)reg.name(4), std::out_of_range);
+}
+
+TEST(Registry, EmptyArrayLeavesNoGroup) {
+  Registry reg;
+  reg.add("a");
+  EXPECT_EQ(reg.add_array("none", 0), 1u);
+  EXPECT_EQ(reg.add("b"), 1u);
+  EXPECT_EQ(reg.size(), 2u);
+  ASSERT_EQ(reg.groups().size(), 2u);
+  EXPECT_EQ(reg.name(1), "b");
+}
+
+// The registry stores groups; every point of a real core must still read
+// back under the name the per-point registry gave it: "<prefix>[i]" for an
+// array member, the registered string for a single point.
+TEST(Registry, GroupNamesMatchPerPointNamesOnEveryCore) {
+  for (const soc::CoreKind kind : soc::kAllCores) {
+    SCOPED_TRACE(std::string(soc::core_name(kind)));
+    const soc::Pipeline dut(soc::core_params(kind, soc::BugSet::none()));
+    const Registry& reg = dut.registry();
+    ASSERT_GT(reg.groups().size(), 1u);
+    std::size_t next = 0;
+    for (const PointGroup& group : reg.groups()) {
+      ASSERT_EQ(group.base, next);  // consecutive, no gaps
+      ASSERT_GT(group.count, 0u);
+      next += group.count;
+      const auto last = static_cast<PointId>(group.base + group.count - 1);
+      if (group.array) {
+        EXPECT_EQ(reg.name(group.base), group.prefix + "[0]");
+        EXPECT_EQ(reg.name(last),
+                  group.prefix + "[" + std::to_string(group.count - 1) + "]");
+      } else {
+        EXPECT_EQ(group.count, 1u);
+        EXPECT_EQ(reg.name(group.base), group.prefix);
+      }
+    }
+    EXPECT_EQ(next, reg.size());
+    EXPECT_EQ(reg.size(), dut.coverage_universe());
+    EXPECT_THROW((void)reg.name(static_cast<PointId>(reg.size())),
+                 std::out_of_range);
+    EXPECT_EQ(reg.name(0), "icache/hit_set[0]");
+  }
 }
 
 TEST(Registry, FreezeBlocksRegistration) {
@@ -218,6 +273,91 @@ TEST_P(MapProperty, UnionCountsAreConsistent) {
 
 INSTANTIATE_TEST_SUITE_P(Universes, MapProperty,
                          ::testing::Values(1, 63, 64, 65, 1000, 4096, 23456));
+
+// Bit-by-bit reference for |m \ other| (other treated as zero past its end).
+std::size_t reference_count_new(const Map& m, const Map& other) {
+  std::size_t n = 0;
+  for (PointId id = 0; id < m.universe(); ++id) {
+    n += m.test(id) && !other.test(id) ? 1 : 0;
+  }
+  return n;
+}
+
+// The scheduler's fused bookkeeping — count_new_pair for (covL, covG),
+// absorb_counted into global and a merge into the arm gated on covL — must
+// leave the same counts and maps as the separate count_new/absorb/merge
+// passes it replaces.
+class FusedRewardProperty : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(FusedRewardProperty, MatchesSeparatePasses) {
+  const std::size_t universe = GetParam();
+  common::Xoshiro256StarStar rng(universe * 131 + 7);
+  const auto random_map = [&](std::size_t bits) {
+    Map m(universe);
+    for (std::size_t i = 0; universe > 0 && i < bits; ++i) {
+      m.set(static_cast<PointId>(rng.next_index(universe)));
+    }
+    return m;
+  };
+  for (int round = 0; round < 40; ++round) {
+    // Densities from empty to saturated, and the degenerate cases: an
+    // empty test, a test identical to the arm, an arm equal to global.
+    const std::size_t density =
+        universe * static_cast<std::size_t>(round % 5) / 4;
+    Map arm = random_map(density / 2);
+    Map global_map = random_map(density);
+    if (round % 3 == 0) {
+      global_map.merge(arm);  // the scheduler's invariant: arm ⊆ global
+    }
+    Map test = random_map(density / 3 + 1);
+    if (round % 7 == 1) {
+      test.clear();
+    } else if (round % 7 == 2) {
+      test = arm;
+    } else if (round % 7 == 3) {
+      arm = global_map;
+    }
+
+    Accumulator fused_global(universe);
+    fused_global.absorb(global_map);
+    Map fused_arm = arm;
+    const auto [cov_local, cov_global] = test.count_new_pair(arm, global_map);
+    EXPECT_EQ(cov_local, reference_count_new(test, arm));
+    EXPECT_EQ(cov_global, reference_count_new(test, global_map));
+    EXPECT_EQ(cov_local, test.count_new(arm));
+    EXPECT_EQ(cov_global, test.count_new(global_map));
+    EXPECT_EQ(fused_global.absorb_counted(test, cov_global), cov_global);
+    if (cov_local > 0) {
+      fused_arm.merge(test);
+    }
+
+    Accumulator separate_global(universe);
+    separate_global.absorb(global_map);
+    Map separate_arm = arm;
+    EXPECT_EQ(separate_global.absorb(test), cov_global);
+    separate_arm.merge(test);
+    EXPECT_EQ(fused_global.global(), separate_global.global());
+    EXPECT_EQ(fused_arm, separate_arm);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Universes, FusedRewardProperty,
+                         ::testing::Values(0, 1, 63, 64, 65, 130, 1000, 12403,
+                                           16080));
+
+TEST(Map, CountNewAcrossUniverseSizes) {
+  // A shorter `other` counts as zero past its end, in both primitives.
+  Map big(200);
+  big.set(5);
+  big.set(150);
+  Map small(70);
+  small.set(5);
+  EXPECT_EQ(big.count_new(small), 1u);
+  using Counts = std::pair<std::size_t, std::size_t>;
+  EXPECT_EQ(big.count_new_pair(small, big), (Counts{1, 0}));
+  EXPECT_EQ(small.count_new(big), 0u);
+  EXPECT_EQ(small.count_new_pair(big, Map(0)), (Counts{0, 1}));
+}
 
 // --- Accumulator -----------------------------------------------------------------
 

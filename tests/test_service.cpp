@@ -3,15 +3,18 @@
 // cancel at slice boundaries, interrupt-and-resume byte-identity of every
 // artifact across exec-worker counts, and scheduler behaviour under an
 // exhausted process thread budget (degraded grants, no deadlock, same
-// bytes).
+// bytes), and the ordering of terminal events before drain() returns.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <mutex>
 #include <sstream>
 #include <stdexcept>
+#include <streambuf>
 #include <string>
 #include <thread>
 #include <vector>
@@ -145,6 +148,70 @@ TEST(ServiceSchedulingTest, SingleWorkerCompletesJobsInSubmissionOrder) {
   }
   EXPECT_EQ(done_order,
             (std::vector<std::string>{"first", "second", "third"}));
+}
+
+/// An event sink that yields and sleeps before it records a terminal
+/// line, widening the window in which a lane could still be writing it.
+class SlowTerminalSink final : public std::streambuf {
+ public:
+  [[nodiscard]] std::vector<std::string> lines() const {
+    const std::lock_guard<std::mutex> guard(mutex_);
+    return lines_;
+  }
+
+ protected:
+  int_type overflow(int_type ch) override {
+    if (ch == traits_type::eof()) {
+      return traits_type::not_eof(ch);
+    }
+    if (ch != '\n') {
+      line_.push_back(static_cast<char>(ch));
+      return ch;
+    }
+    for (const char* terminal : {"\"done\"", "\"failed\"", "\"cancelled\""}) {
+      if (line_.find(terminal) != std::string::npos) {
+        std::this_thread::yield();
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      }
+    }
+    const std::lock_guard<std::mutex> guard(mutex_);
+    lines_.push_back(std::move(line_));
+    line_.clear();
+    return ch;
+  }
+
+ private:
+  std::string line_;  // written by one emitter at a time (events mutex)
+  mutable std::mutex mutex_;
+  std::vector<std::string> lines_;
+};
+
+TEST(ServiceSchedulingTest, DrainReturnsAfterEveryTerminalEventIsWritten) {
+  SlowTerminalSink sink;
+  std::ostream events(&sink);
+  ServiceConfig config;
+  config.workers = 2;
+  config.slice = 1'000;  // each job finishes within one slice
+  CampaignService service(config, &events);
+  const std::vector<std::string> names = {"a", "b", "c", "d"};
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    service.submit(job(names[i], tiny(40, 20 + i)));
+  }
+  service.start();
+  service.drain();
+  // Read before stop(): drain() alone must order the terminal events.
+  const std::vector<std::string> lines = sink.lines();
+  for (const JobStatus& status : service.jobs()) {
+    ASSERT_EQ(status.state, JobState::kDone) << status.name;
+    const std::string done =
+        "{\"event\":\"done\",\"job\":\"" + status.name + "\"";
+    EXPECT_TRUE(std::any_of(lines.begin(), lines.end(),
+                            [&](const std::string& line) {
+                              return line.rfind(done, 0) == 0;
+                            }))
+        << "no done event for " << status.name << " when drain() returned";
+  }
+  service.stop();
 }
 
 TEST(ServiceSchedulingTest, StatusTracksProgressAndTerminalStates) {
