@@ -39,7 +39,7 @@
 //   --matrix A,B   comma-separated fuzzer axis (default: --fuzzer)
 //   --workers W    worker threads (0 = hardware concurrency)
 //   --target-bug V stop each trial at V's detection (Table I protocol)
-//   --json PATH    write the mabfuzz-experiment-v1 artifact ("-" = stdout)
+//   --json PATH    write the mabfuzz-experiment-v2 artifact ("-" = stdout)
 //
 // Corpus toolbox (first positional argument "corpus"):
 //   corpus info PATH...              print store summaries

@@ -25,7 +25,7 @@
 //    pairwise speedup reports against a baseline fuzzer (paper Table I /
 //    Fig. 4 accounting).
 //  - write_trials_csv / write_experiment_json: machine-readable artifact
-//    emitters ("mabfuzz-experiment-v1"; schema in docs/ARTIFACTS.md).
+//    emitters ("mabfuzz-experiment-v2"; schema in docs/ARTIFACTS.md).
 
 #include <cstdint>
 #include <optional>
@@ -107,12 +107,6 @@ struct TrialResult {
   /// Wall-clock seconds; inherently non-deterministic, excluded from
   /// artifacts when ArtifactOptions::include_timing is false.
   double elapsed_seconds = 0.0;
-  /// Intra-trial exec-worker count (PolicyConfig::exec_workers) the trial
-  /// ran with. Environment provenance, not a result: it never affects any
-  /// other field, so it is emitted with the timing fields and excluded
-  /// from artifacts when include_timing is false (keeping byte-identity
-  /// across worker counts checkable).
-  unsigned exec_workers = 1;
 
   /// Corpus provenance: the mabfuzz-corpus-v2 store this trial warmed up
   /// from (empty = cold start) and how many entries it held at load.
@@ -167,7 +161,7 @@ struct ExperimentResult {
 /// over `result.trials`, which for Experiment::run() equals fuzzer-major
 /// matrix order) and `result.failed_trials`. Experiment::run() calls this
 /// after the pool drains; the campaign service reuses it to wrap a single
-/// finished campaign in the same experiment-v1 artifact schema.
+/// finished campaign in the same experiment-v2 artifact schema.
 void aggregate_experiment(ExperimentResult& result);
 
 /// Table I / Fig. 4-style pairwise comparison of every non-baseline cell
@@ -240,7 +234,7 @@ std::uint64_t report_failures(std::ostream& os, const ExperimentResult& result);
 void write_trials_csv(std::ostream& os, const ExperimentResult& result,
                       const ArtifactOptions& options = {});
 
-/// The "mabfuzz-experiment-v1" JSON artifact: trial rows plus per-cell
+/// The "mabfuzz-experiment-v2" JSON artifact: trial rows plus per-cell
 /// aggregates and coverage curves.
 void write_experiment_json(std::ostream& os, const ExperimentResult& result,
                            const ArtifactOptions& options = {});

@@ -1,6 +1,5 @@
 #include "harness/service.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -428,7 +427,7 @@ void CampaignService::write_artifacts(Job& job, const RunResult& run) {
     return;
   }
   // One-trial experiment wrapper: the service emits the same
-  // experiment-v1 JSON/CSV schema the matrix engine writes, with timing
+  // experiment-v2 JSON/CSV schema the matrix engine writes, with timing
   // excluded so reruns and resumed runs are byte-identical.
   ExperimentResult result;
   TrialResult trial;
@@ -437,8 +436,6 @@ void CampaignService::write_artifacts(Job& job, const RunResult& run) {
   trial.run_index = campaign.config().run_index;
   trial.corpus_in = campaign.config().corpus_in;
   trial.corpus_out = campaign.config().corpus_out;
-  trial.exec_workers = static_cast<unsigned>(
-      std::max<std::size_t>(1, campaign.config().policy.exec_workers));
   trial.corpus_entries = campaign.corpus_loaded_entries();
   if (campaign.corpus() != nullptr && !campaign.config().corpus_out.empty()) {
     trial.corpus_out_entries = campaign.corpus()->size();
@@ -519,7 +516,7 @@ void CampaignService::finish_job(Job& job, JobState state, std::string error) {
   }
   json.end_object();
 
-  // The campaign (backend, corpus, arenas) is the job's only heavy state;
+  // The campaign (backend, corpus) is the job's only heavy state;
   // a finished job keeps just its status row.
   job.campaign.reset();
   job.observer.reset();

@@ -13,7 +13,7 @@
 //  - save_state() appends the algorithm's complete mutable state (value
 //    estimates, pull counts, weights, RNG stream position) as
 //    deterministic little-endian bytes — the bandit half of the
-//    checkpoint-v1 state witness (harness/checkpoint.hpp): two bandits
+//    checkpoint-v2 state witness (harness/checkpoint.hpp): two bandits
 //    with equal blobs will select identical arm sequences forever.
 
 #include <bit>
@@ -69,6 +69,7 @@ class Bandit {
   [[nodiscard]] std::size_t num_arms() const noexcept { return num_arms_; }
 
  protected:
+  /// Throws std::invalid_argument when `num_arms` is 0.
   explicit Bandit(std::size_t num_arms);
 
   /// Uniformly random tie-break among the arms maximising `score(arm)`.

@@ -1,14 +1,13 @@
 // detlint-path: src/core/scheduler.cpp
-// Fixture: Arena and ExecutionContext are per-lane state. A static-storage
-// instance is reachable from every thread in the process, and naming
-// either type inside a thread-spawn expression hands one across the lane
-// boundary — both defeat the one-context-per-thread sharding rule that
-// keeps parallel run_batch artifact-invisible.
+// Fixture: an ExecutionContext belongs to the thread driving its backend.
+// A static-storage instance is reachable from every thread in the
+// process, and naming the type inside a thread-spawn expression hands one
+// to another thread.
 #include <thread>
 
 namespace mabfuzz::core {
 
-static common::Arena g_scratch{4096};  // detlint-expect: context-per-thread
+static fuzz::ExecutionContext g_scratch;  // detlint-expect: context-per-thread
 
 template <typename ExecutionContext>
 void bad_handoff(ExecutionContext& cx) {

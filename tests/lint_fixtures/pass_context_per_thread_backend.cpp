@@ -1,23 +1,19 @@
 // detlint-path: src/fuzz/backend.cpp
-// Fixture: the backend is the one module that replicates
-// ExecutionContexts across lanes — it owns the shard -> lane mapping, so
-// naming the context types next to the thread machinery is its job.
-// Ordinary member ownership (one Arena per object, no static storage, no
-// spawn on the same line) is also fine anywhere.
+// Fixture: ordinary member ownership passes anywhere, the backend
+// included: one ExecutionContext per object, no static storage, and no
+// thread spawn naming the type.
 #include <vector>
 
 namespace mabfuzz::fuzz {
 
-struct ExecLane {
-  ExecutionContext context;  // one context per lane, owned by the backend
-  common::Arena scratch{1 << 12};
+class Backend {
+  ExecutionContext scratch_;  // one context per backend
 };
 
-template <typename Team>
-void run_lanes(Team& team, std::vector<ExecLane>& lanes) {
-  team.run([&lanes](std::size_t lane) {
-    lanes[lane].context.batch_arena.reset();  // lane-local: std::thread safe
-  });
+void run_all(std::vector<Backend>& backends) {
+  for (Backend& backend : backends) {
+    (void)backend;  // each driven by the calling thread
+  }
 }
 
 }  // namespace mabfuzz::fuzz

@@ -143,13 +143,36 @@ TEST(CampaignConfigTest, ParsesKeyValuePairs) {
   EXPECT_TRUE(config.policy.adaptive_operators);
 }
 
-TEST(CampaignConfigTest, ExecWorkersKeyParsesAndClampsToOne) {
+TEST(CampaignConfigTest, ZeroArmsIsRejectedByName) {
+  // A bandit needs at least one arm: the parser refuses 0 up front, so a
+  // serve line or checkpoint carrying arms=0 fails as one bad input.
   CampaignConfig config;
-  config.set("exec-workers", "8");
-  EXPECT_EQ(config.policy.exec_workers, 8u);
-  config.set("exec-workers", "0");  // 0 means "no parallelism", i.e. 1
-  EXPECT_EQ(config.policy.exec_workers, 1u);
-  EXPECT_THROW(config.set("exec-workers", "lots"), std::invalid_argument);
+  try {
+    config.set("arms", "0");
+    FAIL() << "arms=0 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'arms'"), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(config.policy.bandit.num_arms, CampaignConfig{}.policy.bandit.num_arms);
+  config.set("arms", "1");
+  EXPECT_EQ(config.policy.bandit.num_arms, 1u);
+}
+
+TEST(CampaignConfigTest, RemovedExecKeysAreUnknown) {
+  // exec-batch / exec-workers selected a second execution path that no
+  // longer exists; old pair lists must fail closed, naming the known keys.
+  for (const char* pair : {"exec-batch=64", "exec-workers=4"}) {
+    const std::vector<std::string> pairs = {"fuzzer=ucb", pair};
+    try {
+      (void)CampaignConfig::from_pairs(pairs);
+      FAIL() << pair << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("unknown campaign key"), std::string::npos) << what;
+      EXPECT_NE(what.find("known keys:"), std::string::npos) << what;
+      EXPECT_NE(what.find(" arms"), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(CampaignConfigTest, DefaultBugSetResolvesAgainstFinalCore) {
@@ -213,8 +236,6 @@ TEST(CampaignConfigTest, ToPairsRoundTripsEveryFieldByteForByte) {
   config.policy.alpha = 0.3333333333333333;  // not exactly representable
   config.policy.bandit.epsilon = 0.05;
   config.policy.bandit.eta = 1e-9;
-  config.policy.exec_workers = 8;
-  config.policy.exec_batch = 32;
   config.policy.length_choices = {3, 17, 255};
 
   const std::vector<std::string> pairs = config.to_pairs();
@@ -250,7 +271,7 @@ TEST(CampaignConfigTest, RandomKeySoupNeverCrashesTheParser) {
   std::vector<std::string> known_keys;
   for (const char* key :
        {"fuzzer", "core", "bugs", "tests", "seed", "epsilon", "eta", "alpha",
-        "arms", "exec-workers", "exec-batch", "length-choices"}) {
+        "arms", "gamma", "pool-cap", "length-choices"}) {
     known_keys.push_back(key);
   }
   std::size_t accepted = 0;

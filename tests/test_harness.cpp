@@ -270,8 +270,8 @@ TEST(WorkerPool, ConcurrencyAccessorReportsGrantedLanes) {
 }
 
 TEST(WorkerPool, NestedTeamsRespectBudgetAndNeverDeadlock) {
-  // The oversubscription regression: trial workers that each spin up an
-  // exec-worker team (the Campaign exec-workers path) must compose
+  // The oversubscription regression: trial workers that each spin up a
+  // nested team (as the campaign service's lanes do) must compose
   // through the process-wide thread budget — the accounted total stays
   // under the configured cap, and because reservation is non-blocking the
   // nesting can degrade lanes but never deadlock.

@@ -379,10 +379,10 @@ TEST(Factory, AliasResolvesToCanonicalPolicy) {
   EXPECT_EQ(BanditRegistry::instance().canonical_name("eps"), "epsilon-greedy");
 }
 
-TEST(Factory, ZeroArmsAborts) {
+TEST(Factory, ZeroArmsThrows) {
   BanditConfig config;
   config.num_arms = 0;
-  EXPECT_DEATH((void)make_bandit("ucb", config), "");
+  EXPECT_THROW((void)make_bandit("ucb", config), std::invalid_argument);
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // CampaignService tests: admission control (duplicate names, queue and
 // per-tenant caps, bad configs), FIFO completion order, pause / resume /
 // cancel at slice boundaries, interrupt-and-resume byte-identity of every
-// artifact across exec-worker counts, and scheduler behaviour under an
-// exhausted process thread budget (degraded grants, no deadlock, same
-// bytes), and the ordering of terminal events before drain() returns.
+// artifact, scheduler behaviour under an exhausted process thread budget
+// (degraded grants, no deadlock, same bytes), and the ordering of
+// terminal events before drain() returns.
 
 #include <gtest/gtest.h>
 
@@ -113,6 +113,32 @@ TEST(ServiceAdmissionTest, RejectsUnknownFuzzerAtSubmitTime) {
     EXPECT_NE(message.find("no-such-policy"), std::string::npos);
     EXPECT_NE(message.find("ucb"), std::string::npos);  // lists known names
   }
+}
+
+TEST(ServiceAdmissionTest, ZeroArmsIsRefusedWithoutHarmingOtherTenants) {
+  // A bandit with no arms is a bad config, not a process-fatal error: the
+  // submit fails and the running tenant's job still finishes.
+  ServiceConfig config;
+  config.workers = 1;
+  config.slice = 50;
+  CampaignService service(config);
+  service.submit(job("good", tiny(300), "a"));
+  service.start();
+
+  CampaignConfig zero_arms = tiny(300);
+  zero_arms.policy.bandit.num_arms = 0;  // bypasses the key parser
+  EXPECT_THROW(service.submit(job("bad", zero_arms, "b")),
+               std::invalid_argument);
+  const std::vector<std::string> pairs = {"fuzzer=ucb", "arms=0"};
+  EXPECT_THROW(service.submit(job("bad", CampaignConfig::from_pairs(pairs), "b")),
+               std::invalid_argument);
+  EXPECT_FALSE(service.status("bad").has_value());
+
+  service.drain();
+  service.stop();
+  ASSERT_TRUE(service.status("good").has_value());
+  EXPECT_EQ(service.status("good")->state, JobState::kDone);
+  EXPECT_EQ(service.status("good")->tests_executed, 300u);
 }
 
 // --- scheduling -----------------------------------------------------------------
@@ -295,97 +321,76 @@ TEST(ServiceControlTest, CancelAppliesToPausedJobsImmediately) {
 
 /// The acceptance property: a campaign interrupted into a checkpoint and
 /// resumed in a fresh service produces byte-identical artifacts (JSON,
-/// CSV, corpus store) to an uninterrupted run — at every exec-worker
-/// count, which must itself never change a byte.
-TEST(ServiceResumeTest, InterruptAndResumeIsByteIdenticalAcrossExecWorkers) {
+/// CSV, corpus store) to an uninterrupted run.
+TEST(ServiceResumeTest, InterruptAndResumeIsByteIdentical) {
   const std::string dir = testing::TempDir();
   const std::string artifact = dir + "svc-artifact";
   const std::string corpus = dir + "svc-corpus.bin";
 
-  std::string ref_json;
-  std::string ref_csv;
-  std::string ref_corpus;
-  for (const unsigned exec_workers : {1u, 2u, 8u}) {
-    CampaignConfig campaign = tiny(900, 21);
-    campaign.corpus_out = corpus;
-    campaign.policy.exec_workers = exec_workers;
-    campaign.policy.exec_batch = 16;
+  CampaignConfig campaign = tiny(900, 21);
+  campaign.corpus_out = corpus;
 
-    ServiceConfig config;
-    config.workers = 2;
-    config.slice = 50;
-    config.checkpoint_dir = dir;
+  ServiceConfig config;
+  config.workers = 2;
+  config.slice = 50;
+  config.checkpoint_dir = dir;
 
-    // Uninterrupted reference (recorded once, from exec-workers=1).
-    {
-      CampaignService service(config);
-      JobSpec spec = job("ref", campaign);
-      spec.artifact_out = artifact;
-      service.submit(std::move(spec));
-      service.start();
-      service.drain();
-      service.stop();
-    }
-    const std::string json = read_file(artifact + ".json");
-    const std::string csv = read_file(artifact + ".csv");
-    const std::string store = read_file(corpus);
-    ASSERT_FALSE(json.empty());
-    ASSERT_FALSE(store.empty());
-    if (exec_workers == 1) {
-      ref_json = json;
-      ref_csv = csv;
-      ref_corpus = store;
-    } else {
-      // Exec-worker sharding alone never changes artifact bytes.
-      EXPECT_EQ(json, ref_json) << "exec-workers " << exec_workers;
-      EXPECT_EQ(csv, ref_csv) << "exec-workers " << exec_workers;
-      EXPECT_EQ(store, ref_corpus) << "exec-workers " << exec_workers;
-    }
-    std::remove((artifact + ".json").c_str());
-    std::remove((artifact + ".csv").c_str());
-    std::remove(corpus.c_str());
-
-    // Interrupted run: park the job mid-campaign, stop the service (the
-    // final checkpoint is written), resume in a brand-new service.
-    {
-      CampaignService service(config);
-      JobSpec spec = job("victim", campaign);
-      spec.artifact_out = artifact;
-      service.submit(std::move(spec));
-      service.start();
-      wait_until(
-          [&] { return service.status("victim")->tests_executed >= 100; },
-          "mid-run progress");
-      ASSERT_TRUE(service.pause("victim"));
-      wait_until(
-          [&] {
-            return service.status("victim")->state == JobState::kPaused;
-          },
-          "job to park");
-      ASSERT_LT(service.status("victim")->tests_executed, 900u);
-      service.stop();
-    }
-    const std::string checkpoint = dir + "victim.ckpt";
-    ASSERT_FALSE(read_file(checkpoint).empty());
-    {
-      CampaignService service(config);
-      EXPECT_EQ(service.resume_from_checkpoint(checkpoint), "victim");
-      service.start();
-      service.drain();
-      service.stop();
-      EXPECT_EQ(service.status("victim")->state, JobState::kDone);
-      EXPECT_EQ(service.status("victim")->tests_executed, 900u);
-    }
-    EXPECT_EQ(read_file(artifact + ".json"), ref_json)
-        << "resume diverged at exec-workers " << exec_workers;
-    EXPECT_EQ(read_file(artifact + ".csv"), ref_csv);
-    EXPECT_EQ(read_file(corpus), ref_corpus);
-    // The settled job's checkpoint is removed.
-    EXPECT_TRUE(read_file(checkpoint).empty());
-    std::remove((artifact + ".json").c_str());
-    std::remove((artifact + ".csv").c_str());
-    std::remove(corpus.c_str());
+  // Uninterrupted reference.
+  {
+    CampaignService service(config);
+    JobSpec spec = job("ref", campaign);
+    spec.artifact_out = artifact;
+    service.submit(std::move(spec));
+    service.start();
+    service.drain();
+    service.stop();
   }
+  const std::string ref_json = read_file(artifact + ".json");
+  const std::string ref_csv = read_file(artifact + ".csv");
+  const std::string ref_corpus = read_file(corpus);
+  ASSERT_FALSE(ref_json.empty());
+  ASSERT_FALSE(ref_corpus.empty());
+  std::remove((artifact + ".json").c_str());
+  std::remove((artifact + ".csv").c_str());
+  std::remove(corpus.c_str());
+
+  // Interrupted run: park the job mid-campaign, stop the service (the
+  // final checkpoint is written), resume in a brand-new service.
+  {
+    CampaignService service(config);
+    JobSpec spec = job("victim", campaign);
+    spec.artifact_out = artifact;
+    service.submit(std::move(spec));
+    service.start();
+    wait_until(
+        [&] { return service.status("victim")->tests_executed >= 100; },
+        "mid-run progress");
+    ASSERT_TRUE(service.pause("victim"));
+    wait_until(
+        [&] { return service.status("victim")->state == JobState::kPaused; },
+        "job to park");
+    ASSERT_LT(service.status("victim")->tests_executed, 900u);
+    service.stop();
+  }
+  const std::string checkpoint = dir + "victim.ckpt";
+  ASSERT_FALSE(read_file(checkpoint).empty());
+  {
+    CampaignService service(config);
+    EXPECT_EQ(service.resume_from_checkpoint(checkpoint), "victim");
+    service.start();
+    service.drain();
+    service.stop();
+    EXPECT_EQ(service.status("victim")->state, JobState::kDone);
+    EXPECT_EQ(service.status("victim")->tests_executed, 900u);
+  }
+  EXPECT_EQ(read_file(artifact + ".json"), ref_json) << "resume diverged";
+  EXPECT_EQ(read_file(artifact + ".csv"), ref_csv);
+  EXPECT_EQ(read_file(corpus), ref_corpus);
+  // The settled job's checkpoint is removed.
+  EXPECT_TRUE(read_file(checkpoint).empty());
+  std::remove((artifact + ".json").c_str());
+  std::remove((artifact + ".csv").c_str());
+  std::remove(corpus.c_str());
 }
 
 // --- thread-budget stress -------------------------------------------------------
@@ -393,9 +398,9 @@ TEST(ServiceResumeTest, InterruptAndResumeIsByteIdenticalAcrossExecWorkers) {
 TEST(ServiceBudgetTest, ExhaustedBudgetDegradesWithoutDeadlockOrDrift) {
   const std::string dir = testing::TempDir();
   auto run_fleet = [&](const std::string& tag) {
-    // 3 services x 2 scheduler lanes x exec-workers 4 wildly oversubscribes
-    // a budget of 4; grants degrade to fewer (or zero extra) threads and
-    // callers absorb the work — never blocking, never changing bytes.
+    // 3 services x 2 scheduler lanes oversubscribes a budget of 4; grants
+    // degrade to fewer (or zero extra) threads and callers absorb the
+    // work — never blocking, never changing bytes.
     std::vector<std::unique_ptr<CampaignService>> services;
     for (int s = 0; s < 3; ++s) {
       ServiceConfig config;
@@ -405,9 +410,7 @@ TEST(ServiceBudgetTest, ExhaustedBudgetDegradesWithoutDeadlockOrDrift) {
     }
     for (int s = 0; s < 3; ++s) {
       for (int j = 0; j < 2; ++j) {
-        CampaignConfig campaign = tiny(200, 100 + 10 * s + j);
-        campaign.policy.exec_workers = 4;
-        campaign.policy.exec_batch = 8;
+        const CampaignConfig campaign = tiny(200, 100 + 10 * s + j);
         JobSpec spec = job("job-" + std::to_string(j), campaign);
         spec.artifact_out = dir + tag + "-s" + std::to_string(s) + "-j" +
                             std::to_string(j);

@@ -2,8 +2,8 @@
 """detlint — the MABFuzz determinism & ownership linter.
 
 The repo's load-bearing guarantee is that experiment and corpus artifacts
-are byte-identical across 1/2/8 workers, any exec-batch value, and
-save->load->save round trips (docs/ARCHITECTURE.md "Reproducibility
+are byte-identical across 1/2/8 workers and save->load->save round
+trips (docs/ARCHITECTURE.md "Reproducibility
 contract").  Runtime tests enforce that property after the fact; detlint
 enforces the source-level invariants that make it true, so a stray
 wall-clock read or unordered-container walk in an artifact path is caught
@@ -26,10 +26,9 @@ Rules (see docs/STATIC_ANALYSIS.md for the full catalogue):
                          read results from TestOutcome (ownership rule)
   outcome-in-loop        a TestOutcome declared inside a loop body defeats
                          the backend scratch-swap reuse pattern; hoist it
-  context-per-thread     no static-storage Arena/ExecutionContext, and no
-                         handing either type to a spawned thread outside
-                         the backend: each exec lane owns exactly one
-                         context (parallel run_batch sharding rule)
+  context-per-thread     no static-storage ExecutionContext, and no
+                         handing one to a spawned thread: a backend's
+                         context belongs to the thread driving it
 
 Suppressions:
 
@@ -85,9 +84,9 @@ RULES = {
         "so the backend scratch swap stays allocation-free "
         "(docs/ARCHITECTURE.md ownership rules)",
     "context-per-thread":
-        "Arena/ExecutionContext reachable from more than one thread; each "
-        "exec lane owns exactly one context and arenas bind to their first "
-        "allocating thread (docs/ARCHITECTURE.md \"Batched execution\")",
+        "ExecutionContext reachable from more than one thread; a backend's "
+        "context belongs to the one thread driving it (docs/ARCHITECTURE.md "
+        "ownership rules)",
 }
 
 # Files that feed the deterministic artifact emitters (experiment JSON/CSV,
@@ -117,10 +116,8 @@ CONTEXT_READ_ALLOWED_GLOBS = ["tests/*", "bench/*", "src/fuzz/backend.*"]
 # construct fresh outcomes per test on purpose (reused vs fresh suites).
 OUTCOME_RULE_GLOBS = ["src/*", "examples/*"]
 
-# context-per-thread: the backend is the one module that replicates
-# ExecutionContexts across lanes (it owns the shard -> lane mapping), and
-# tests/benches deliberately cross threads to exercise the ownership traps.
-CONTEXT_THREAD_ALLOWED_GLOBS = ["tests/*", "bench/*", "src/fuzz/backend.*"]
+# context-per-thread: tests/benches may cross threads on purpose.
+CONTEXT_THREAD_ALLOWED_GLOBS = ["tests/*", "bench/*"]
 
 DEFAULT_SCAN_ROOTS = ["src", "tests", "bench", "examples"]
 EXCLUDED_DIR_NAMES = {"lint_fixtures", "build"}
@@ -173,15 +170,15 @@ OUTCOME_DECL_RE = re.compile(
     r"(?:;|\{\s*\}\s*;|=)")
 LOOP_KEYWORD_RE = re.compile(r"\b(for|while|do)\b")
 
-# context-per-thread: a static-storage Arena/ExecutionContext is reachable
-# from every thread in the process, and naming either type in a
-# thread-spawn expression hands one across the lane boundary.
+# context-per-thread: a static-storage ExecutionContext is reachable from
+# every thread in the process, and naming the type in a thread-spawn
+# expression hands one to another thread.
 STATIC_CONTEXT_RE = re.compile(
     r"\bstatic\s+(?:inline\s+)?(?:const(?:expr)?\s+)?(?:\w+::)*"
-    r"(?:Arena|ExecutionContext)\b")
+    r"ExecutionContext\b")
 THREAD_SPAWN_RE = re.compile(
     r"\bstd::(?:jthread|thread|async)\b|\bpthread_create\b")
-CONTEXT_TYPE_RE = re.compile(r"\b(?:Arena|ExecutionContext)\b")
+CONTEXT_TYPE_RE = re.compile(r"\bExecutionContext\b")
 
 ALLOW_RE = re.compile(r"//\s*detlint:allow\(([^)]*)\)")
 ALLOW_FILE_RE = re.compile(r"//\s*detlint:allow-file\(([^)]*)\)")
@@ -373,7 +370,7 @@ def lint_file(relpath: str, text: str) -> list:
             elif (THREAD_SPAWN_RE.search(cline)
                   and CONTEXT_TYPE_RE.search(cline)):
                 report(lineno, "context-per-thread",
-                       "thread spawn names a per-lane context type: "
+                       "thread spawn names the context type: "
                        + RULES["context-per-thread"])
 
     if is_header:

@@ -11,6 +11,10 @@ operator would — and the way no unit test can: with a real SIGKILL.
      SIGKILL the server mid-run.
   3. Recovery: start a fresh server, `resume-checkpoint` both jobs from
      the files the dead server left behind, drain, shutdown.
+  4. Negative controls: serve one campaign and, while it runs, submit a
+     zero-arm campaign and one with a removed config key. Each bad submit
+     must get one `error:` reply; the daemon must live on and finish the
+     good job with reference-identical artifacts.
 
 Validated along the way: every stdout line of every server is one
 parseable JSON event object, replies follow the ok/error wire protocol,
@@ -38,6 +42,11 @@ JOBS = {
     "smoke-huzz": ("fuzzer=thehuzz core=cva6 tests=15000 seed=3", 15000),
 }
 CHECKPOINT_EVERY = 1000
+# Submits the daemon must refuse with an `error:` reply and survive.
+BAD_SUBMITS = {
+    "bad-arms": "fuzzer=ucb core=rocket tests=300 arms=0",
+    "bad-key": "fuzzer=ucb core=rocket tests=300 exec-batch=64",
+}
 DEADLINE = 120.0  # seconds; every wait below shares this cap
 
 
@@ -117,9 +126,9 @@ def submit_all(client):
             fail(f"unexpected submit reply {reply!r}")
 
 
-def read_artifacts(directory):
+def read_artifacts(directory, names=JOBS):
     out = {}
-    for name in JOBS:
+    for name in names:
         for ext in (".json", ".csv"):
             path = pathlib.Path(directory) / (name + ext)
             if not path.is_file():
@@ -235,8 +244,48 @@ def main():
         if recovered[key] != expected:
             fail(f"artifact {key} differs between the reference run and the "
                  "SIGKILL+resume run — checkpoint recovery is not exact")
-    print(f"service_smoke: PASS — {len(reference)} artifacts byte-identical "
+    print(f"service_smoke: {len(reference)} artifacts byte-identical "
           "across SIGKILL + resume")
+
+    # --- 5. negative controls: bad submits are refused, the daemon lives on ---
+    neg_dir = workdir / "negative"
+    neg_dir.mkdir(exist_ok=True)
+    os.chdir(neg_dir)
+    good = "smoke-ucb"
+    good_pairs, good_tests = JOBS[good]
+    server, events_file = start_server(cli, neg_dir / "events.jsonl",
+                                       neg_dir / "ctl.sock")
+    client = ServeClient(neg_dir / "ctl.sock", deadline)
+    client.expect_ok(f"submit tenant=good job={good} artifact-out={good} "
+                     f"{good_pairs}")
+    for name, pairs in BAD_SUBMITS.items():
+        reply = client.command(f"submit tenant=bad job={name} {pairs}")
+        if not reply.startswith("error:"):
+            fail(f"bad submit {name} got {reply!r}, expected an error: reply")
+        if server.poll() is not None:
+            fail(f"server exited {server.returncode} after bad submit {name}")
+    # One reply per command: the next reply must answer the next command,
+    # not be a second line left over from a bad submit.
+    client.expect_ok("drain")
+    status = client.expect_ok("status")
+    if f"{good}:done:{good_tests}/{good_tests}" not in status:
+        fail(f"good job did not finish beside the bad submits: {status!r}")
+    for name in BAD_SUBMITS:
+        if name in status:
+            fail(f"refused job {name} appears in status: {status!r}")
+    client.expect_ok("shutdown")
+    client.close()
+    if server.wait(timeout=DEADLINE) != 0:
+        fail(f"negative-control server exited {server.returncode}")
+    events_file.close()
+    parse_events(neg_dir / "events.jsonl", "negative controls")
+    survived = read_artifacts(neg_dir, [good])
+    for key, data in survived.items():
+        if data != reference[key]:
+            fail(f"artifact {key} beside the bad submits differs from the "
+                 "reference run")
+    print(f"service_smoke: PASS — {len(BAD_SUBMITS)} bad submits refused, "
+          f"{good} finished byte-identical")
 
 
 if __name__ == "__main__":
