@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
   const std::uint64_t max_tests = args.get_uint("tests", 1500);
   const std::uint64_t runs = std::max<std::uint64_t>(1, args.get_uint("runs", 2));
   const std::uint64_t seed = args.get_uint("seed", 1);
-  const auto workers = static_cast<unsigned>(args.get_uint("workers", 0));
+  const auto workers = args.get_unsigned("workers", 0);
 
   std::cout << "=== Ablations over MABFuzz parameters (CVA6, "
             << max_tests << " tests, " << runs << " runs) ===\n\n";

@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   const std::uint64_t tests = args.get_uint("tests", 2000);
   const std::uint64_t runs = std::max<std::uint64_t>(1, args.get_uint("runs", 2));
   const std::uint64_t seed = args.get_uint("seed", 1);
-  const auto workers = static_cast<unsigned>(args.get_uint("workers", 0));
+  const auto workers = args.get_unsigned("workers", 0);
 
   harness::TrialMatrix matrix;
   matrix.base.core = soc::CoreKind::kCva6;

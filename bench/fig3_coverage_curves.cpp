@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
   const std::uint64_t runs = std::max<std::uint64_t>(1, args.get_uint("runs", 2));
   const std::uint64_t samples = args.get_uint("samples", 20);
   const std::uint64_t seed = args.get_uint("seed", 1);
-  const auto workers = static_cast<unsigned>(args.get_uint("workers", 0));
+  const auto workers = args.get_unsigned("workers", 0);
   const bool csv = args.get_bool("csv", false);
   const std::string only_core = args.get_string("core", "");
 

@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
   const std::uint64_t runs = std::max<std::uint64_t>(1, args.get_uint("runs", 2));
   const std::uint64_t samples = args.get_uint("samples", 50);
   const std::uint64_t seed = args.get_uint("seed", 1);
-  const auto workers = static_cast<unsigned>(args.get_uint("workers", 0));
+  const auto workers = args.get_unsigned("workers", 0);
 
   const std::uint64_t sample_every = std::max<std::uint64_t>(1, max_tests / samples);
 

@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
   const std::uint64_t warmup_tests = args.get_uint("warmup", 1500);
   const std::uint64_t runs = std::max<std::uint64_t>(1, args.get_uint("runs", 5));
   const std::uint64_t seed = args.get_uint("seed", 1);
-  const auto workers = static_cast<unsigned>(args.get_uint("workers", 0));
+  const auto workers = args.get_unsigned("workers", 0);
   const std::string bug_name = args.get_string("bug", "V6");
   const std::string json_path =
       args.get_string("json", "BENCH_reuse_cold_start.json");

@@ -434,8 +434,7 @@ int serve_stdin_loop(harness::CampaignService& service) {
 int run_serve(const common::CliArgs& args) {
   core::ensure_builtin_policies_registered();
   harness::ServiceConfig config;
-  config.workers =
-      static_cast<unsigned>(args.get_uint("service-workers", 2));
+  config.workers = args.get_unsigned("service-workers", 2);
   config.slice = args.get_uint("slice", 256);
   config.queue_cap = args.get_uint("queue-cap", 64);
   config.per_tenant_cap = args.get_uint("tenant-cap", 8);
@@ -465,7 +464,7 @@ int run_matrix(const common::CliArgs& args, harness::CampaignConfig config) {
   std::erase(matrix.fuzzers, "");  // tolerate "a,,b" / trailing commas
 
   harness::ExperimentOptions options;
-  options.workers = static_cast<unsigned>(args.get_uint("workers", 0));
+  options.workers = args.get_unsigned("workers", 0);
   const std::string target_bug = args.get_string("target-bug", "");
   if (!target_bug.empty()) {
     for (const soc::BugInfo& info : soc::all_bugs()) {

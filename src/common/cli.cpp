@@ -72,6 +72,10 @@ T parse_number(std::string_view key, const std::string& text, T fallback) {
   const char* first = text.data();
   const char* last = text.data() + text.size();
   const auto [ptr, ec] = std::from_chars(first, last, out);
+  if (ec == std::errc::result_out_of_range && ptr == last) {
+    throw std::invalid_argument("option --" + std::string(key) + ": '" +
+                                text + "' is out of range");
+  }
   if (ec != std::errc{} || ptr != last) {
     throw std::invalid_argument("option --" + std::string(key) +
                                 ": cannot parse '" + text + "'");
@@ -89,6 +93,11 @@ std::int64_t CliArgs::get_int(std::string_view key, std::int64_t fallback) const
 std::uint64_t CliArgs::get_uint(std::string_view key, std::uint64_t fallback) const {
   auto v = get(key);
   return v ? parse_number<std::uint64_t>(key, *v, fallback) : fallback;
+}
+
+unsigned CliArgs::get_unsigned(std::string_view key, unsigned fallback) const {
+  auto v = get(key);
+  return v ? parse_number<unsigned>(key, *v, fallback) : fallback;
 }
 
 double CliArgs::get_double(std::string_view key, double fallback) const {

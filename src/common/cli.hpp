@@ -36,6 +36,10 @@ class CliArgs {
                                      std::int64_t fallback) const;
   [[nodiscard]] std::uint64_t get_uint(std::string_view key,
                                        std::uint64_t fallback) const;
+  /// get_uint for values that must fit in `unsigned` (thread counts):
+  /// a larger value throws instead of wrapping.
+  [[nodiscard]] unsigned get_unsigned(std::string_view key,
+                                      unsigned fallback) const;
   [[nodiscard]] double get_double(std::string_view key, double fallback) const;
   [[nodiscard]] bool get_bool(std::string_view key, bool fallback) const;
 

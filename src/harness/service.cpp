@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "common/json.hpp"
-#include "common/thread_team.hpp"
 #include "fuzz/corpus.hpp"
 #include "harness/curves.hpp"
 #include "harness/experiment.hpp"
@@ -350,13 +349,10 @@ void CampaignService::start() {
     }
     started_ = true;
   }
-  // The dispatcher thread hosts the ThreadTeam: it is the team's caller
-  // lane (uncounted by the budget, mirroring WorkerPool's caller), and
-  // the requested extra lanes are budget-accounted team threads.
-  dispatcher_ = std::thread([this] {
-    common::ThreadTeam team(config_.workers);
-    team.run([this](unsigned) { lane_loop(); });
-  });
+  lanes_.reserve(config_.workers);
+  for (unsigned lane = 0; lane < config_.workers; ++lane) {
+    lanes_.emplace_back([this] { lane_loop(); });
+  }
 }
 
 void CampaignService::drain() {
@@ -371,14 +367,14 @@ void CampaignService::stop() {
   {
     const std::lock_guard<std::mutex> guard(mutex_);
     if (stopping_) {
-      // A second stop() still waits for the dispatcher below.
+      return;
     }
     stopping_ = true;
   }
   work_cv_.notify_all();
   drain_cv_.notify_all();
-  if (dispatcher_.joinable()) {
-    dispatcher_.join();
+  for (std::thread& lane : lanes_) {
+    lane.join();
   }
   // Lanes are gone; the caller thread owns every campaign now. Park the
   // unfinished ones in final checkpoints so a restart can resume them.

@@ -5,6 +5,7 @@
 #include <exception>
 #include <mutex>
 #include <optional>
+#include <thread>
 
 namespace mabfuzz::harness {
 
@@ -24,28 +25,18 @@ std::optional<TaskFailure> run_one(const std::function<void(std::uint64_t)>& fn,
 
 }  // namespace
 
-WorkerPool::WorkerPool(unsigned workers)
-    : team_(workers == 0 ? common::hardware_parallelism() : workers) {}
-
-PoolReport WorkerPool::run(std::uint64_t tasks,
-                           const std::function<void(std::uint64_t)>& fn) {
+PoolReport run_indexed(std::uint64_t tasks, unsigned workers,
+                       const std::function<void(std::uint64_t)>& fn) {
   PoolReport report;
   report.tasks = tasks;
   if (tasks == 0) {
-    return report;
+    return report;  // nothing to do; don't start threads
   }
-  const unsigned lanes = static_cast<unsigned>(
-      std::min<std::uint64_t>(concurrency(), tasks));
-  report.workers = lanes;
-
-  if (lanes <= 1) {
-    for (std::uint64_t i = 0; i < tasks; ++i) {
-      if (auto failure = run_one(fn, i)) {
-        report.failures.push_back(std::move(*failure));
-      }
-    }
-    return report;
+  if (workers == 0) {
+    workers = std::max(1u, std::thread::hardware_concurrency());
   }
+  const auto lanes =
+      static_cast<unsigned>(std::min<std::uint64_t>(workers, tasks));
 
   // Chunked claiming: each lane grabs a small contiguous range per
   // fetch_add, amortising counter contention while keeping enough slack
@@ -54,10 +45,7 @@ PoolReport WorkerPool::run(std::uint64_t tasks,
       std::max<std::uint64_t>(1, tasks / (static_cast<std::uint64_t>(lanes) * 8));
   std::atomic<std::uint64_t> next{0};
   std::mutex failures_mutex;
-  team_.run([&](unsigned lane) {
-    if (lane >= lanes) {
-      return;  // team wider than the task count
-    }
+  auto lane = [&] {
     for (;;) {
       const std::uint64_t begin = next.fetch_add(chunk);
       if (begin >= tasks) {
@@ -73,26 +61,20 @@ PoolReport WorkerPool::run(std::uint64_t tasks,
         }
       }
     }
-  });
+  };
+  {
+    std::vector<std::jthread> threads;
+    threads.reserve(lanes - 1);
+    for (unsigned t = 1; t < lanes; ++t) {
+      threads.emplace_back(lane);
+    }
+    lane();  // the caller's thread is lane 0
+  }  // jthreads join here
   std::sort(report.failures.begin(), report.failures.end(),
             [](const TaskFailure& a, const TaskFailure& b) {
               return a.index < b.index;
             });
   return report;
-}
-
-PoolReport run_indexed(std::uint64_t tasks, unsigned workers,
-                       const std::function<void(std::uint64_t)>& fn) {
-  if (tasks == 0) {
-    return PoolReport{};  // nothing to do; don't spawn a team
-  }
-  if (workers == 0) {
-    workers = common::hardware_parallelism();
-  }
-  workers = static_cast<unsigned>(
-      std::min<std::uint64_t>(workers, std::min<std::uint64_t>(tasks, ~0u)));
-  WorkerPool pool(workers);
-  return pool.run(tasks, fn);
 }
 
 }  // namespace mabfuzz::harness

@@ -410,6 +410,19 @@ TEST(Cli, MalformedNumberThrows) {
   EXPECT_THROW((void)args.get_int("n", 0), std::invalid_argument);
 }
 
+TEST(Cli, UnsignedRejectsValuesThatWouldWrap) {
+  const char* argv[] = {"prog", "--w", "4294967295", "--big", "4294967297"};
+  const CliArgs args(5, argv);
+  EXPECT_EQ(args.get_unsigned("w", 0), 4294967295u);
+  EXPECT_EQ(args.get_unsigned("missing", 2), 2u);
+  try {
+    (void)args.get_unsigned("big", 0);
+    FAIL() << "4294967297 must not wrap to 1";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--big"), std::string::npos);
+  }
+}
+
 TEST(Cli, BooleanSpellings) {
   const char* argv[] = {"prog", "--a", "yes", "--b", "off"};
   const CliArgs args(5, argv);

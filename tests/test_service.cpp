@@ -1,9 +1,9 @@
 // CampaignService tests: admission control (duplicate names, queue and
-// per-tenant caps, bad configs), FIFO completion order, pause / resume /
-// cancel at slice boundaries, interrupt-and-resume byte-identity of every
-// artifact, scheduler behaviour under an exhausted process thread budget
-// (degraded grants, no deadlock, same bytes), and the ordering of
-// terminal events before drain() returns.
+// per-tenant caps, bad configs), FIFO completion order, byte-identical
+// artifacts for any lane count, pause / resume / cancel at slice
+// boundaries, interrupt-and-resume byte-identity of every artifact, a
+// single round of stop()-time checkpoints however often stop() runs, and
+// the ordering of terminal events before drain() returns.
 
 #include <gtest/gtest.h>
 
@@ -19,7 +19,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/thread_team.hpp"
 #include "harness/service.hpp"
 
 namespace mabfuzz::harness {
@@ -174,6 +173,41 @@ TEST(ServiceSchedulingTest, SingleWorkerCompletesJobsInSubmissionOrder) {
   }
   EXPECT_EQ(done_order,
             (std::vector<std::string>{"first", "second", "third"}));
+}
+
+TEST(ServiceSchedulingTest, LaneCountNeverChangesArtifacts) {
+  // Small slices interleave the jobs across lanes; a job is only ever
+  // stepped by one lane at a time, so its artifacts match the 1-lane run.
+  const std::string dir = testing::TempDir();
+  auto run_service = [&](unsigned workers) {
+    ServiceConfig config;
+    config.workers = workers;
+    config.slice = 40;
+    CampaignService service(config);
+    for (int j = 0; j < 4; ++j) {
+      JobSpec spec = job("job-" + std::to_string(j), tiny(200, 100 + j));
+      spec.artifact_out = dir + "lanes" + std::to_string(workers) + "-j" +
+                          std::to_string(j);
+      service.submit(std::move(spec));
+    }
+    service.start();
+    service.drain();
+    service.stop();
+  };
+  run_service(1);
+  run_service(3);
+
+  for (int j = 0; j < 4; ++j) {
+    const std::string suffix = "-j" + std::to_string(j);
+    for (const char* ext : {".json", ".csv"}) {
+      const std::string one_lane = read_file(dir + "lanes1" + suffix + ext);
+      ASSERT_FALSE(one_lane.empty()) << suffix << ext;
+      EXPECT_EQ(read_file(dir + "lanes3" + suffix + ext), one_lane)
+          << suffix << ext;
+      std::remove((dir + "lanes1" + suffix + ext).c_str());
+      std::remove((dir + "lanes3" + suffix + ext).c_str());
+    }
+  }
 }
 
 /// An event sink that yields and sleeps before it records a terminal
@@ -393,57 +427,33 @@ TEST(ServiceResumeTest, InterruptAndResumeIsByteIdentical) {
   std::remove(corpus.c_str());
 }
 
-// --- thread-budget stress -------------------------------------------------------
-
-TEST(ServiceBudgetTest, ExhaustedBudgetDegradesWithoutDeadlockOrDrift) {
+TEST(ServiceResumeTest, RepeatedStopWritesOneRoundOfCheckpoints) {
+  // `serve` calls stop() and then the destructor calls it again; only the
+  // first call may park unfinished jobs in checkpoints.
   const std::string dir = testing::TempDir();
-  auto run_fleet = [&](const std::string& tag) {
-    // 3 services x 2 scheduler lanes oversubscribes a budget of 4; grants
-    // degrade to fewer (or zero extra) threads and callers absorb the
-    // work — never blocking, never changing bytes.
-    std::vector<std::unique_ptr<CampaignService>> services;
-    for (int s = 0; s < 3; ++s) {
-      ServiceConfig config;
-      config.workers = 2;
-      config.slice = 40;
-      services.push_back(std::make_unique<CampaignService>(config));
-    }
-    for (int s = 0; s < 3; ++s) {
-      for (int j = 0; j < 2; ++j) {
-        const CampaignConfig campaign = tiny(200, 100 + 10 * s + j);
-        JobSpec spec = job("job-" + std::to_string(j), campaign);
-        spec.artifact_out = dir + tag + "-s" + std::to_string(s) + "-j" +
-                            std::to_string(j);
-        services[s]->submit(std::move(spec));
-      }
-      services[s]->start();
-    }
-    for (const auto& service : services) {
-      service->drain();
-      service->stop();
-    }
-  };
-
-  run_fleet("unlimited");
-  common::set_thread_budget(4);
-  run_fleet("starved");
-  common::set_thread_budget(0);
-  EXPECT_EQ(common::thread_budget(), 0u);
-
-  for (int s = 0; s < 3; ++s) {
-    for (int j = 0; j < 2; ++j) {
-      const std::string suffix =
-          "-s" + std::to_string(s) + "-j" + std::to_string(j);
-      const std::string unlimited =
-          read_file(dir + "unlimited" + suffix + ".json");
-      ASSERT_FALSE(unlimited.empty());
-      EXPECT_EQ(read_file(dir + "starved" + suffix + ".json"), unlimited)
-          << suffix;
-      EXPECT_EQ(read_file(dir + "starved" + suffix + ".csv"),
-                read_file(dir + "unlimited" + suffix + ".csv"))
-          << suffix;
+  std::ostringstream events;
+  {
+    ServiceConfig config;
+    config.workers = 2;
+    config.slice = 50;
+    config.checkpoint_dir = dir;
+    CampaignService service(config, &events);
+    service.submit(job("twice", tiny(1'000'000, 9)));
+    service.start();
+    service.stop();
+    service.stop();
+    EXPECT_NE(service.status("twice")->state, JobState::kDone);
+  }
+  std::size_t checkpoints = 0;
+  std::istringstream lines(events.str());
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.find("\"event\":\"checkpoint\"") != std::string::npos) {
+      ++checkpoints;
     }
   }
+  EXPECT_EQ(checkpoints, 1u) << events.str();
+  std::remove((dir + "twice.ckpt").c_str());
 }
 
 }  // namespace
