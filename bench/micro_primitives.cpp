@@ -59,8 +59,8 @@ void BM_BackendDifferentialTest(benchmark::State& state) {
 BENCHMARK(BM_BackendDifferentialTest);
 
 // The campaign hot path: run_test with a reused TestOutcome (the form every
-// fuzzer's step() uses). The headline run_test-throughput number recorded in
-// BENCH_baseline.json; items/sec = tests/sec.
+// fuzzer's step() uses); items/sec = tests/sec. A diagnosis aid only: the
+// campaign-level figures come from e2ebench (`--trace 1` per-layer table).
 void BM_BackendRunTestReused(benchmark::State& state) {
   const auto kind = static_cast<soc::CoreKind>(state.range(0));
   fuzz::BackendConfig config;
@@ -219,11 +219,9 @@ void BM_MabSchedulerStep(benchmark::State& state) {
   fuzz::BackendConfig backend_config;
   backend_config.core = soc::CoreKind::kCva6;
   fuzz::Backend backend(backend_config);
-  core::MabFuzzConfig config;
-  mab::BanditConfig bandit_config;
-  bandit_config.num_arms = config.num_arms;
+  const fuzz::PolicyConfig config;
   core::MabScheduler scheduler(
-      backend, mab::make_bandit("ucb", bandit_config), config);
+      backend, mab::make_bandit("ucb", config.bandit), config);
   for (auto _ : state) {
     benchmark::DoNotOptimize(scheduler.step());
   }

@@ -12,8 +12,10 @@
 //    instructions in a test"). Arms = candidate lengths; reward = the
 //    globally-new coverage of the freshly generated seed.
 //
-// Both plug into MabScheduler via MabFuzzConfig and default to off, so the
-// paper's original formulation stays the default behaviour.
+// The operator policy plugs into the backend (fuzz::BackendConfig::
+// operator_policy), the length policy into MabScheduler (fuzz::PolicyConfig::
+// length_policy). Both default to off, so the paper's original formulation
+// stays the default behaviour.
 
 #include <memory>
 #include <vector>

@@ -1,6 +1,5 @@
 #include "core/scheduler.hpp"
 
-#include <cstdlib>
 #include <utility>
 
 #include "fuzz/corpus.hpp"
@@ -9,15 +8,13 @@ namespace mabfuzz::core {
 
 MabScheduler::MabScheduler(fuzz::Backend& backend,
                            std::unique_ptr<mab::Bandit> bandit,
-                           const MabFuzzConfig& config)
+                           const fuzz::PolicyConfig& config)
     : backend_(backend), bandit_(std::move(bandit)), config_(config),
       reward_config_{config.alpha}, global_(backend.coverage_universe()) {
-  if (!bandit_ || bandit_->num_arms() != config_.num_arms) {
-    std::abort();  // mis-wired construction is a programming error
-  }
-  arms_.reserve(config_.num_arms);
-  pending_seed_length_.assign(config_.num_arms, 0);
-  for (std::size_t a = 0; a < config_.num_arms; ++a) {
+  const std::size_t num_arms = bandit_->num_arms();
+  arms_.reserve(num_arms);
+  pending_seed_length_.assign(num_arms, 0);
+  for (std::size_t a = 0; a < num_arms; ++a) {
     arms_.emplace_back(make_fresh_seed(a), backend_.coverage_universe(),
                        config_.gamma, config_.arm_pool_cap);
   }
@@ -77,7 +74,8 @@ fuzz::StepResult MabScheduler::step() {
   }
 
   // Sec. V extensions: operator-level and length-level credit assignment.
-  if (config_.feed_operator_rewards && !test.mutation_ops.empty()) {
+  // The default static operator policy ignores the feedback.
+  if (!test.mutation_ops.empty()) {
     const double op_reward = reward.cov_local > 0 ? 1.0 : 0.0;
     for (const std::uint8_t op : test.mutation_ops) {
       backend_.mutation_policy().feedback(static_cast<mutation::Op>(op),

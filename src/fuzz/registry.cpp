@@ -3,6 +3,7 @@
 #include "fuzz/corpus.hpp"
 #include "fuzz/random_fuzzer.hpp"
 #include "fuzz/reuse_fuzzer.hpp"
+#include "fuzz/thehuzz.hpp"
 #include "mab/registry.hpp"
 #include "soc/cores.hpp"
 
@@ -24,12 +25,7 @@ namespace {
 const FuzzerRegistration kTheHuzzRegistration{
     "thehuzz",
     [](Backend& backend, const PolicyConfig& config) -> std::unique_ptr<Fuzzer> {
-      // The mutant burst is shared across all policies (experimental
-      // control): the unified knob overrides the baseline-local one.
-      TheHuzzConfig thehuzz = config.thehuzz;
-      thehuzz.mutants_per_interesting = config.mutants_per_interesting;
-      thehuzz.corpus = config.corpus;
-      return std::make_unique<TheHuzz>(backend, thehuzz);
+      return std::make_unique<TheHuzz>(backend, config);
     }};
 
 const FuzzerRegistration kRandomRegistration{
@@ -49,13 +45,11 @@ const FuzzerRegistration kReuseRegistration{
             std::string(soc::core_name(backend.config().core)),
             backend.coverage_universe(), config.corpus_cap);
       }
-      ReuseConfig reuse;
-      reuse.gamma = config.gamma;
       auto bandit =
           mab::BanditRegistry::instance().create(config.reuse_bandit,
                                                  config.bandit);
       return std::make_unique<ReuseFuzzer>(backend, std::move(corpus),
-                                           std::move(bandit), reuse);
+                                           std::move(bandit), config);
     }};
 
 }  // namespace

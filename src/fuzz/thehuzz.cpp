@@ -6,10 +6,18 @@
 
 namespace mabfuzz::fuzz {
 
-TheHuzz::TheHuzz(Backend& backend, const TheHuzzConfig& config)
-    : backend_(backend), config_(config), pool_(config.pool_cap),
+namespace {
+
+constexpr unsigned kInitialSeeds = 10;
+constexpr std::size_t kPoolCap = 4096;
+constexpr std::size_t kDatabaseCap = 2048;
+
+}  // namespace
+
+TheHuzz::TheHuzz(Backend& backend, const PolicyConfig& config)
+    : backend_(backend), config_(config), pool_(kPoolCap),
       accumulated_(backend.coverage_universe()) {
-  for (unsigned i = 0; i < config_.initial_seeds; ++i) {
+  for (unsigned i = 0; i < kInitialSeeds; ++i) {
     pool_.push(backend_.make_seed());
   }
 }
@@ -49,7 +57,7 @@ StepResult TheHuzz::step() {
   // Static policy: every test that covered anything new is "interesting";
   // it enters the database and contributes a burst of mutants.
   if (result.new_global_points > 0) {
-    if (database_.size() >= config_.database_cap && !database_.empty()) {
+    if (database_.size() >= kDatabaseCap) {
       database_.pop_front();
       if (db_cursor_ > 0) {
         --db_cursor_;

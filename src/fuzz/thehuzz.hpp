@@ -10,7 +10,6 @@
 // has nothing to offer.
 
 #include <deque>
-#include <memory>
 
 #include "fuzz/backend.hpp"
 #include "fuzz/fuzzer.hpp"
@@ -18,22 +17,13 @@
 
 namespace mabfuzz::fuzz {
 
-class Corpus;  // fuzz/corpus.hpp
-
-struct TheHuzzConfig {
-  unsigned initial_seeds = 10;
-  unsigned mutants_per_interesting = 5;
-  std::size_t pool_cap = 4096;
-  std::size_t database_cap = 2048;
-  /// Optional cross-campaign store: every executed test is offered to it
-  /// (the corpus's novelty gate decides admission). Null = no persistence,
-  /// the original TheHuzz behaviour.
-  std::shared_ptr<Corpus> corpus;
-};
-
 class TheHuzz final : public Fuzzer {
  public:
-  TheHuzz(Backend& backend, const TheHuzzConfig& config);
+  /// Reads `config.mutants_per_interesting` (the burst shared with the
+  /// MABFuzz schedulers) and `config.corpus`: when a store is present,
+  /// every executed test is offered to it; null is the original TheHuzz
+  /// behaviour.
+  TheHuzz(Backend& backend, const PolicyConfig& config);
 
   StepResult step() override;
   [[nodiscard]] const coverage::Accumulator& accumulated() const override {
@@ -50,7 +40,7 @@ class TheHuzz final : public Fuzzer {
   void refill_from_database();
 
   Backend& backend_;
-  TheHuzzConfig config_;
+  PolicyConfig config_;
   TestPool pool_;
   std::deque<TestCase> database_;  // interesting tests, insertion order
   std::size_t db_cursor_ = 0;      // static FIFO replay position

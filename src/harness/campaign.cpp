@@ -26,6 +26,10 @@ namespace {
 std::uint64_t parse_u64(std::string_view key, std::string_view value) {
   std::uint64_t out = 0;
   const auto [ptr, ec] = std::from_chars(value.data(), value.data() + value.size(), out);
+  if (ec == std::errc::result_out_of_range) {
+    throw std::invalid_argument("campaign key '" + std::string(key) + "': '" +
+                                std::string(value) + "' is out of range");
+  }
   if (ec != std::errc{} || ptr != value.data() + value.size()) {
     throw std::invalid_argument("campaign key '" + std::string(key) +
                                 "': cannot parse '" + std::string(value) +
@@ -34,19 +38,38 @@ std::uint64_t parse_u64(std::string_view key, std::string_view value) {
   return out;
 }
 
-double parse_f64(std::string_view key, std::string_view value) {
+/// parse_u64 narrowed to `unsigned`: a value that does not fit is refused,
+/// never wrapped (4294967301 must not become 5).
+unsigned parse_unsigned(std::string_view key, std::string_view value) {
+  const std::uint64_t out = parse_u64(key, value);
+  if (out > std::numeric_limits<unsigned>::max()) {
+    throw std::invalid_argument("campaign key '" + std::string(key) + "': '" +
+                                std::string(value) + "' is out of range");
+  }
+  return static_cast<unsigned>(out);
+}
+
+/// A rate or mix weight in [0, 1]. NaN, infinities and out-of-range values
+/// are refused: an untrusted serve line must not steer a bandit into a
+/// silent degenerate state (eta=nan sends every EXP3 pull to arm 0).
+double parse_unit_interval(std::string_view key, std::string_view value) {
+  double out = 0.0;
   try {
     std::size_t pos = 0;
-    const double out = std::stod(std::string(value), &pos);
+    out = std::stod(std::string(value), &pos);
     if (pos != value.size()) {
       throw std::invalid_argument("trailing characters");
     }
-    return out;
   } catch (const std::exception&) {
     throw std::invalid_argument("campaign key '" + std::string(key) +
                                 "': cannot parse '" + std::string(value) +
                                 "' as a number");
   }
+  if (!(out >= 0.0 && out <= 1.0)) {
+    throw std::invalid_argument("campaign key '" + std::string(key) + "': '" +
+                                std::string(value) + "' is outside [0, 1]");
+  }
+  return out;
 }
 
 bool parse_flag(std::string_view key, std::string_view value) {
@@ -107,7 +130,7 @@ soc::BugSet parse_bug_set(std::string_view value, soc::CoreKind core) {
 std::vector<unsigned> parse_lengths(std::string_view key, std::string_view value) {
   std::vector<unsigned> out;
   for (const std::string& token : common::split(value, ',')) {
-    out.push_back(static_cast<unsigned>(parse_u64(key, token)));
+    out.push_back(parse_unsigned(key, token));
   }
   if (out.empty()) {
     throw std::invalid_argument("campaign key '" + std::string(key) +
@@ -118,9 +141,9 @@ std::vector<unsigned> parse_lengths(std::string_view key, std::string_view value
 
 // --- canonical value formatting (to_pairs) --------------------------------------
 
-/// Shortest round-trip decimal form (std::to_chars): parse_f64 of the
-/// output reproduces the exact double, and equal doubles format
-/// identically — both required for the checkpoint config round trip.
+/// Shortest round-trip decimal form (std::to_chars): parsing the output
+/// reproduces the exact double, and equal doubles format identically —
+/// both required for the checkpoint config round trip.
 std::string format_exact(double v) {
   char buffer[64];
   const auto [ptr, ec] = std::to_chars(buffer, buffer + sizeof(buffer), v);
@@ -207,17 +230,17 @@ constexpr ConfigKey kConfigKeys[] = {
      [](const CampaignConfig& c) { return std::to_string(c.policy.bandit.num_arms); }},
     {"epsilon", "epsilon-greedy exploration rate (paper: 0.1)",
      [](CampaignConfig& c, std::string_view v) {
-       c.policy.bandit.epsilon = parse_f64("epsilon", v);
+       c.policy.bandit.epsilon = parse_unit_interval("epsilon", v);
      },
      [](const CampaignConfig& c) { return format_exact(c.policy.bandit.epsilon); }},
     {"eta", "EXP3 learning rate (paper: 0.1)",
      [](CampaignConfig& c, std::string_view v) {
-       c.policy.bandit.eta = parse_f64("eta", v);
+       c.policy.bandit.eta = parse_unit_interval("eta", v);
      },
      [](const CampaignConfig& c) { return format_exact(c.policy.bandit.eta); }},
     {"alpha", "reward mix R = a|covL| + (1-a)|covG| (paper: 0.25)",
      [](CampaignConfig& c, std::string_view v) {
-       c.policy.alpha = parse_f64("alpha", v);
+       c.policy.alpha = parse_unit_interval("alpha", v);
      },
      [](const CampaignConfig& c) { return format_exact(c.policy.alpha); }},
     {"gamma", "depletion reset threshold; 0 disables (paper: 3)",
@@ -227,8 +250,7 @@ constexpr ConfigKey kConfigKeys[] = {
      [](const CampaignConfig& c) { return std::to_string(c.policy.gamma); }},
     {"mutants", "mutant burst per interesting test (paper: 5)",
      [](CampaignConfig& c, std::string_view v) {
-       c.policy.mutants_per_interesting =
-           static_cast<unsigned>(parse_u64("mutants", v));
+       c.policy.mutants_per_interesting = parse_unsigned("mutants", v);
      },
      [](const CampaignConfig& c) { return std::to_string(c.policy.mutants_per_interesting); }},
     {"pool-cap", "per-arm test pool capacity",
@@ -236,27 +258,11 @@ constexpr ConfigKey kConfigKeys[] = {
        c.policy.arm_pool_cap = parse_u64("pool-cap", v);
      },
      [](const CampaignConfig& c) { return std::to_string(c.policy.arm_pool_cap); }},
-    {"initial-seeds", "TheHuzz initial seed count",
-     [](CampaignConfig& c, std::string_view v) {
-       c.policy.thehuzz.initial_seeds =
-           static_cast<unsigned>(parse_u64("initial-seeds", v));
-     },
-     [](const CampaignConfig& c) { return std::to_string(c.policy.thehuzz.initial_seeds); }},
-    {"feed-op-rewards", "feed operator-level rewards to the mutation policy",
-     [](CampaignConfig& c, std::string_view v) {
-       c.policy.feed_operator_rewards = parse_flag("feed-op-rewards", v);
-     },
-     [](const CampaignConfig& c) { return std::string(c.policy.feed_operator_rewards ? "true" : "false"); }},
     {"adaptive-ops", "Sec. V: MAB mutation-operator selection",
      [](CampaignConfig& c, std::string_view v) {
        c.policy.adaptive_operators = parse_flag("adaptive-ops", v);
      },
      [](const CampaignConfig& c) { return std::string(c.policy.adaptive_operators ? "true" : "false"); }},
-    {"adaptive-op-epsilon", "exploration rate of the operator bandit",
-     [](CampaignConfig& c, std::string_view v) {
-       c.policy.adaptive_op_epsilon = parse_f64("adaptive-op-epsilon", v);
-     },
-     [](const CampaignConfig& c) { return format_exact(c.policy.adaptive_op_epsilon); }},
     {"adaptive-length", "Sec. V: MAB seed-length selection",
      [](CampaignConfig& c, std::string_view v) {
        c.policy.adaptive_length = parse_flag("adaptive-length", v);
@@ -482,7 +488,7 @@ Campaign::Campaign(const CampaignConfig& config) : config_(config) {
   if (config_.policy.adaptive_operators) {
     mab::BanditConfig op_bandit;
     op_bandit.num_arms = mutation::kNumOps;
-    op_bandit.epsilon = config_.policy.adaptive_op_epsilon;
+    op_bandit.epsilon = 0.15;  // the operator bandit's fixed exploration rate
     op_bandit.rng_seed =
         common::derive_seed(config_.rng_seed, config_.run_index, "op-bandit");
     backend_config.operator_policy = std::make_shared<core::MabOperatorPolicy>(

@@ -97,7 +97,7 @@ struct CampaignConfig {
   known_keys();
 
   /// Serializes every known key as "key=value" in declaration order (the
-  /// checkpoint-v2 config section and the wire echo format). Values are
+  /// config section of a mabfuzz-checkpoint-v3 file). Values are
   /// canonical: doubles print shortest-round-trip, the bug set prints as
   /// an explicit name list ("none" when empty), so
   /// from_pairs(to_pairs()) reconstructs an equivalent config and

@@ -7,7 +7,8 @@
 //    C_base after M tests (∞-safe: reported as N_base when never reached).
 //  - coverage increment = (C_cand − C_base) / C_base × 100 %.
 //
-// Curves are built from the Campaign's per-batch snapshots.
+// Curves are built from the Campaign's per-batch snapshots; repeated-trial
+// curves come from harness/experiment (CellStats::mean_curve).
 
 #include <cstdint>
 #include <optional>
@@ -27,16 +28,6 @@ struct CoverageCurve {
 /// Converts a campaign's batch snapshots into a curve.
 [[nodiscard]] CoverageCurve curve_from_snapshots(
     const std::vector<BatchSnapshot>& snapshots);
-
-/// Runs one campaign for config.max_tests, sampling accumulated coverage
-/// every `sample_every` tests (plus the final point).
-[[nodiscard]] CoverageCurve measure_coverage(const CampaignConfig& config,
-                                             std::uint64_t sample_every);
-
-/// Averages per-run curves over `runs` repetitions (same grid).
-[[nodiscard]] CoverageCurve measure_coverage_multi(CampaignConfig config,
-                                                   std::uint64_t sample_every,
-                                                   std::uint64_t runs);
 
 /// First test count at which `curve` reaches `target` coverage, or
 /// std::nullopt when the curve never reaches it. (A returned 0 is a real

@@ -168,48 +168,59 @@ StopCondition Experiment::stop_condition(const TrialSpec& spec) const {
   return StopCondition::max_tests(spec.config.max_tests);
 }
 
+TrialResult trial_result(const Campaign& campaign, const RunResult& run,
+                         std::optional<soc::BugId> target_bug) {
+  const CampaignConfig& config = campaign.config();
+  TrialResult result;
+  result.fuzzer = config.fuzzer;
+  result.run_index = config.run_index;
+  result.corpus_in = config.corpus_in;
+  result.corpus_out = config.corpus_out;
+  result.corpus_entries = campaign.corpus_loaded_entries();
+  if (campaign.corpus() != nullptr && !config.corpus_out.empty()) {
+    result.corpus_out_entries = campaign.corpus()->size();
+  }
+  result.stop = run.reason;
+  result.tests_executed = run.tests_executed;
+  result.covered = campaign.covered();
+  result.universe = campaign.coverage_universe();
+  result.mismatches = campaign.mismatches();
+  result.detected_bugs = campaign.detected_bug_count();
+  if (target_bug) {
+    result.target_detected = campaign.bug_detected(*target_bug);
+    result.detection_tests = result.target_detected
+                                 ? campaign.first_detection_test(*target_bug)
+                                 : config.max_tests;  // right-censored at the cap
+  }
+  result.elapsed_seconds = run.elapsed_seconds;
+  result.curve = curve_from_snapshots(campaign.snapshots());
+  result.curve.universe = campaign.coverage_universe();
+  return result;
+}
+
 TrialResult Experiment::run_trial(const TrialSpec& spec) const {
   TrialResult result;
-  result.index = spec.index;
-  result.fuzzer = spec.fuzzer;
-  result.variant = spec.variant;
-  result.run_index = spec.run_index;
-  // Provenance is config, not outcome: a failed warm-start trial must
-  // still be recorded as warm-started (and shard-assigned) in the
-  // artifacts.
-  result.corpus_in = spec.config.corpus_in;
-  result.corpus_out = spec.config.corpus_out;
   try {
     Campaign campaign(spec.config);
-    result.corpus_entries = campaign.corpus_loaded_entries();
     const RunResult run = campaign.run_until(stop_condition(spec));
-    if (campaign.corpus() != nullptr && !spec.config.corpus_out.empty()) {
-      result.corpus_out_entries = campaign.corpus()->size();
-      campaign.save_corpus();
-    }
-    result.stop = run.reason;
-    result.tests_executed = run.tests_executed;
-    result.covered = campaign.covered();
-    result.universe = campaign.coverage_universe();
-    result.mismatches = campaign.mismatches();
-    result.detected_bugs = campaign.detected_bug_count();
-    if (options_.target_bug) {
-      result.target_detected = campaign.bug_detected(*options_.target_bug);
-      result.detection_tests =
-          result.target_detected
-              ? campaign.first_detection_test(*options_.target_bug)
-              : spec.config.max_tests;  // right-censored at the cap
-    }
-    result.elapsed_seconds = run.elapsed_seconds;
-    result.curve = curve_from_snapshots(campaign.snapshots());
-    result.curve.universe = campaign.coverage_universe();
+    campaign.save_corpus();
+    result = trial_result(campaign, run, options_.target_bug);
   } catch (const std::exception& e) {
     result.failed = true;
     result.error = e.what();
+    // Provenance is config, not outcome: a failed warm-start trial must
+    // still be recorded as warm-started (and shard-assigned) in the
+    // artifacts.
+    result.fuzzer = spec.fuzzer;
+    result.run_index = spec.run_index;
+    result.corpus_in = spec.config.corpus_in;
+    result.corpus_out = spec.config.corpus_out;
     MABFUZZ_WARN() << "trial " << spec.index << " (" << spec.fuzzer
                    << (spec.variant.empty() ? "" : "/" + spec.variant)
                    << ", run " << spec.run_index << ") failed: " << e.what();
   }
+  result.index = spec.index;
+  result.variant = spec.variant;
   return result;
 }
 

@@ -121,6 +121,17 @@ struct TrialResult {
   CoverageCurve curve;  // per-batch coverage samples
 };
 
+/// The outcome of one finished campaign as a TrialResult: fuzzer, run
+/// index, corpus provenance, stop reason, totals, detections and the
+/// coverage curve. With `target_bug`, also the target-bug accounting
+/// (tests-to-detection right-censored at the config's test cap). The
+/// matrix-position fields (index, variant) are left for the caller.
+/// Experiment::run_trial and the campaign service both build their
+/// trials through this.
+[[nodiscard]] TrialResult trial_result(
+    const Campaign& campaign, const RunResult& run,
+    std::optional<soc::BugId> target_bug = std::nullopt);
+
 /// Aggregate statistics over one (fuzzer, variant) cell's trials.
 struct CellStats {
   std::string fuzzer;

@@ -7,8 +7,6 @@
 #include <utility>
 
 #include "common/json.hpp"
-#include "fuzz/corpus.hpp"
-#include "harness/curves.hpp"
 #include "harness/experiment.hpp"
 #include "soc/bugs.hpp"
 
@@ -414,11 +412,7 @@ void CampaignService::write_checkpoint(Job& job) {
 }
 
 void CampaignService::write_artifacts(Job& job, const RunResult& run) {
-  Campaign& campaign = *job.campaign;
-  if (campaign.corpus() != nullptr &&
-      !campaign.config().corpus_out.empty()) {
-    campaign.save_corpus();
-  }
+  job.campaign->save_corpus();
   if (job.spec.artifact_out.empty()) {
     return;
   }
@@ -426,25 +420,7 @@ void CampaignService::write_artifacts(Job& job, const RunResult& run) {
   // experiment-v2 JSON/CSV schema the matrix engine writes, with timing
   // excluded so reruns and resumed runs are byte-identical.
   ExperimentResult result;
-  TrialResult trial;
-  trial.index = 0;
-  trial.fuzzer = campaign.config().fuzzer;
-  trial.run_index = campaign.config().run_index;
-  trial.corpus_in = campaign.config().corpus_in;
-  trial.corpus_out = campaign.config().corpus_out;
-  trial.corpus_entries = campaign.corpus_loaded_entries();
-  if (campaign.corpus() != nullptr && !campaign.config().corpus_out.empty()) {
-    trial.corpus_out_entries = campaign.corpus()->size();
-  }
-  trial.stop = run.reason;
-  trial.tests_executed = run.tests_executed;
-  trial.covered = campaign.covered();
-  trial.universe = campaign.coverage_universe();
-  trial.mismatches = campaign.mismatches();
-  trial.detected_bugs = campaign.detected_bug_count();
-  trial.curve = curve_from_snapshots(campaign.snapshots());
-  trial.curve.universe = campaign.coverage_universe();
-  result.trials.push_back(std::move(trial));
+  result.trials.push_back(trial_result(*job.campaign, run));
   aggregate_experiment(result);
 
   const ArtifactOptions options{/*include_timing=*/false,

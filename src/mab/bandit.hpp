@@ -13,7 +13,7 @@
 //  - save_state() appends the algorithm's complete mutable state (value
 //    estimates, pull counts, weights, RNG stream position) as
 //    deterministic little-endian bytes — the bandit half of the
-//    checkpoint-v2 state witness (harness/checkpoint.hpp): two bandits
+//    checkpoint state witness (harness/checkpoint.hpp): two bandits
 //    with equal blobs will select identical arm sequences forever.
 
 #include <bit>
@@ -104,7 +104,7 @@ class Bandit {
 /// the fields it cares about and ignores the rest; defaults are the paper's
 /// Sec. IV-A values. Construction goes through mab/registry.hpp
 /// (make_bandit(name, config) / BanditRegistry), keyed by policy name:
-/// "epsilon-greedy" (alias "eps"), "ucb", "exp3", "thompson".
+/// "epsilon-greedy", "ucb", "exp3", "thompson".
 struct BanditConfig {
   std::size_t num_arms = 10;
   double epsilon = 0.1;       // ε-greedy exploration rate

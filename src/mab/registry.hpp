@@ -29,19 +29,12 @@ class BanditRegistry {
   [[nodiscard]] static BanditRegistry& instance();
 
   /// Registers `factory` under `name`.
-  /// Throws std::invalid_argument if the name (or alias) is already taken.
+  /// Throws std::invalid_argument if the name is already taken.
   void add(std::string name, Factory factory) {
     registry_.add(std::move(name), std::move(factory));
   }
 
-  /// Registers `alias` as an alternate spelling of `canonical`
-  /// ("eps" -> "epsilon-greedy"). The alias resolves to the canonical
-  /// factory, so derived RNG streams are identical under either spelling.
-  void add_alias(std::string alias, std::string canonical) {
-    registry_.add_alias(std::move(alias), std::move(canonical));
-  }
-
-  /// Builds the bandit registered under `name` (canonical or alias).
+  /// Builds the bandit registered under `name`.
   /// Throws std::invalid_argument listing all known names on a miss.
   [[nodiscard]] std::unique_ptr<Bandit> create(std::string_view name,
                                                const BanditConfig& config) const {
@@ -52,15 +45,9 @@ class BanditRegistry {
     return registry_.contains(name);
   }
 
-  /// Canonical names, sorted; aliases are not listed.
+  /// Registered names, sorted.
   [[nodiscard]] std::vector<std::string> names() const {
     return registry_.names();
-  }
-
-  /// Resolves an alias to its canonical name (identity for canonical
-  /// names). Throws like create() on a miss.
-  [[nodiscard]] std::string canonical_name(std::string_view name) const {
-    return registry_.canonical_name(name);
   }
 
   /// Removes a registration (test hygiene). Returns false if absent.
@@ -84,7 +71,7 @@ struct BanditRegistration {
 
 /// Convenience: build a bandit by policy name through the registry.
 /// The bandit's exploration stream is derived from (config.rng_seed, the
-/// canonical policy name), so the same config replays bit-identically.
+/// policy name), so the same config replays bit-identically.
 [[nodiscard]] std::unique_ptr<Bandit> make_bandit(std::string_view name,
                                                   const BanditConfig& config);
 

@@ -72,10 +72,26 @@ TEST(BanditRegistryTest, DuplicateRegistrationRejected) {
                                   config.num_arms, common::Xoshiro256StarStar(2));
                             }),
                std::invalid_argument);
-  EXPECT_THROW(registry.add_alias("test-duplicate-alias", "no-such-canonical"),
-               std::invalid_argument);
   EXPECT_TRUE(registry.remove(name));
   EXPECT_FALSE(registry.remove(name));
+}
+
+TEST(BanditRegistryTest, EachPolicyHasOneSpelling) {
+  // Each bandit policy has exactly one name: reuse-bandit=eps fails at
+  // construction like any unknown name, listing the registered policies.
+  CampaignConfig config;
+  config.fuzzer = "reuse";
+  config.max_tests = 10;
+  config.policy.reuse_bandit = "eps";
+  try {
+    Campaign campaign(config);
+    FAIL() << "reuse-bandit=eps was accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("'eps'"), std::string::npos) << message;
+    EXPECT_NE(message.find("epsilon-greedy"), std::string::npos) << message;
+  }
+  EXPECT_FALSE(mab::BanditRegistry::instance().contains("eps"));
 }
 
 TEST(FuzzerRegistryTest, ListsBuiltinsIncludingThompson) {
@@ -172,6 +188,81 @@ TEST(CampaignConfigTest, RemovedExecKeysAreUnknown) {
       EXPECT_NE(what.find("known keys:"), std::string::npos) << what;
       EXPECT_NE(what.find(" arms"), std::string::npos) << what;
     }
+  }
+}
+
+TEST(CampaignConfigTest, RemovedPolicyKeysAreUnknown) {
+  // TheHuzz's initial seed count (10), operator-reward feedback (always)
+  // and the operator bandit's epsilon (0.15) are constants, not keys: pair
+  // lists naming them fail closed.
+  EXPECT_EQ(CampaignConfig::known_keys().size(), 21u);
+  for (const char* pair :
+       {"initial-seeds=10", "feed-op-rewards=true", "adaptive-op-epsilon=0.15"}) {
+    const std::vector<std::string> pairs = {"fuzzer=ucb", pair};
+    try {
+      (void)CampaignConfig::from_pairs(pairs);
+      FAIL() << pair << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("unknown campaign key"), std::string::npos) << what;
+    }
+  }
+}
+
+TEST(CampaignConfigTest, NarrowKeysRejectValuesThatWouldWrap) {
+  // mutants and each length-choices entry are `unsigned`: a value past
+  // UINT_MAX must be refused by name, not wrapped (4294967301 -> 5).
+  const struct {
+    const char* key;
+    const char* value;
+  } cases[] = {
+      {"mutants", "4294967301"},
+      {"length-choices", "8,4294967304"},
+      {"mutants", "18446744073709551616"},  // past u64 too
+  };
+  for (const auto& c : cases) {
+    CampaignConfig config;
+    try {
+      config.set(c.key, c.value);
+      FAIL() << c.key << "=" << c.value << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(std::string("'") + c.key + "'"), std::string::npos)
+          << what;
+      EXPECT_NE(what.find("out of range"), std::string::npos) << what;
+    }
+    EXPECT_EQ(config.to_pairs(), CampaignConfig{}.to_pairs())
+        << "a refused value must leave the config untouched";
+  }
+  CampaignConfig config;
+  config.set("mutants", "4294967295");
+  EXPECT_EQ(config.policy.mutants_per_interesting, 4294967295u);
+  config.set("length-choices", "8,4294967295");
+  EXPECT_EQ(config.policy.length_choices,
+            (std::vector<unsigned>{8, 4294967295u}));
+}
+
+TEST(CampaignConfigTest, RatesRejectNanAndValuesOutsideTheUnitInterval) {
+  // epsilon, eta and alpha are probabilities / mix weights. A NaN eta
+  // would silently send every EXP3 pull to arm 0.
+  for (const char* key : {"epsilon", "eta", "alpha"}) {
+    for (const char* value : {"nan", "-nan", "inf", "-inf", "-0.1", "1.5", "1e300"}) {
+      CampaignConfig config;
+      try {
+        config.set(key, value);
+        FAIL() << key << "=" << value << " was accepted";
+      } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(std::string("'") + key + "'"), std::string::npos)
+            << what;
+        EXPECT_NE(what.find("outside [0, 1]"), std::string::npos) << what;
+      }
+      EXPECT_EQ(config.to_pairs(), CampaignConfig{}.to_pairs());
+    }
+    // The ends of the interval are valid (the ablation runs alpha 0 and 1).
+    CampaignConfig config;
+    config.set(key, "0");
+    config.set(key, "1");
   }
 }
 

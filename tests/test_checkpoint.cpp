@@ -1,4 +1,4 @@
-// Checkpoint-v2 tests: struct round-trip through the binary format,
+// Checkpoint-v3 tests: struct round-trip through the binary format,
 // corruption rejection (truncation at every byte boundary, bit flips,
 // bad magic/version — always a descriptive throw, never partial state),
 // verified-replay resume equivalence (a resumed campaign finishes with
@@ -178,8 +178,9 @@ TEST(CheckpointCorruptionTest, ErrorsAreDescriptive) {
 }
 
 TEST(CheckpointCorruptionTest, OtherVersionIsRefusedBeforeThePayload) {
-  // Version 1 files carry config pairs this build no longer knows; the
-  // header check must refuse them before any payload byte is read.
+  // Version 2 files carry config pairs this build no longer knows
+  // (initial-seeds, feed-op-rewards, adaptive-op-epsilon); the header
+  // check must refuse them before any payload byte is read.
   Campaign campaign(tiny("ucb", 40));
   advance(campaign, 20);
   const std::string path = testing::TempDir() + "version.ckpt";
@@ -189,16 +190,16 @@ TEST(CheckpointCorruptionTest, OtherVersionIsRefusedBeforeThePayload) {
   ASSERT_EQ(static_cast<unsigned char>(valid[kVersionAt]), Checkpoint::kVersion);
 
   std::string old = valid;
-  old[kVersionAt] = 1;
+  old[kVersionAt] = 2;
   // Intact payload, and a bare header with the payload cut off: both must
   // fail on the version, not on the checksum or a truncation.
   for (const std::string& bytes : {old, old.substr(0, kVersionAt + 12)}) {
     write_file(path, bytes);
     try {
       (void)Checkpoint::load(path);
-      FAIL() << "a version-1 checkpoint was accepted";
+      FAIL() << "a version-2 checkpoint was accepted";
     } catch (const std::runtime_error& e) {
-      EXPECT_NE(std::string(e.what()).find("unsupported version 1"),
+      EXPECT_NE(std::string(e.what()).find("unsupported version 2"),
                 std::string::npos)
           << e.what();
     }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "core/arm.hpp"
 #include "core/reward.hpp"
@@ -118,29 +119,28 @@ std::unique_ptr<mab::Bandit> make_eps(std::size_t arms) {
 
 TEST(Scheduler, StepsExecuteAndCoverageGrows) {
   auto backend = make_backend();
-  MabFuzzConfig config;
-  MabScheduler scheduler(backend, make_eps(config.num_arms), config);
+  const fuzz::PolicyConfig config;
+  MabScheduler scheduler(backend, make_eps(10), config);
   for (int i = 0; i < 100; ++i) {
     const fuzz::StepResult r = scheduler.step();
     EXPECT_EQ(r.test_index, static_cast<std::uint64_t>(i + 1));
     ASSERT_TRUE(r.arm.has_value());
-    EXPECT_LT(*r.arm, config.num_arms);
+    EXPECT_LT(*r.arm, 10u);
   }
   EXPECT_GT(scheduler.accumulated().covered(), 0u);
 }
 
 TEST(Scheduler, NameReflectsBandit) {
   auto backend = make_backend();
-  MabFuzzConfig config;
-  MabScheduler scheduler(backend, make_eps(config.num_arms), config);
+  MabScheduler scheduler(backend, make_eps(10), fuzz::PolicyConfig{});
   EXPECT_EQ(scheduler.name(), "MABFuzz:epsilon-greedy");
 }
 
 TEST(Scheduler, ArmsResetOnDepletion) {
   auto backend = make_backend();
-  MabFuzzConfig config;
+  fuzz::PolicyConfig config;
   config.gamma = 2;  // aggressive resets for the test
-  MabScheduler scheduler(backend, make_eps(config.num_arms), config);
+  MabScheduler scheduler(backend, make_eps(10), config);
   for (int i = 0; i < 600; ++i) {
     scheduler.step();
   }
@@ -151,9 +151,9 @@ TEST(Scheduler, ArmsResetOnDepletion) {
 
 TEST(Scheduler, GammaZeroNeverResets) {
   auto backend = make_backend();
-  MabFuzzConfig config;
+  fuzz::PolicyConfig config;
   config.gamma = 0;
-  MabScheduler scheduler(backend, make_eps(config.num_arms), config);
+  MabScheduler scheduler(backend, make_eps(10), config);
   for (int i = 0; i < 300; ++i) {
     scheduler.step();
   }
@@ -162,9 +162,7 @@ TEST(Scheduler, GammaZeroNeverResets) {
 
 TEST(Scheduler, ArmPullsAreTracked) {
   auto backend = make_backend();
-  MabFuzzConfig config;
-  config.num_arms = 4;
-  MabScheduler scheduler(backend, make_eps(4), config);
+  MabScheduler scheduler(backend, make_eps(4), fuzz::PolicyConfig{});
   for (int i = 0; i < 80; ++i) {
     scheduler.step();
   }
@@ -179,11 +177,10 @@ TEST(Scheduler, ArmPullsAreTracked) {
 
 TEST(Scheduler, WorksWithExp3Normalisation) {
   auto backend = make_backend();
-  MabFuzzConfig config;
-  auto bandit = std::make_unique<mab::Exp3>(config.num_arms, 0.1,
+  auto bandit = std::make_unique<mab::Exp3>(10, 0.1,
                                             common::Xoshiro256StarStar(77));
   const mab::Exp3* exp3 = bandit.get();
-  MabScheduler scheduler(backend, std::move(bandit), config);
+  MabScheduler scheduler(backend, std::move(bandit), fuzz::PolicyConfig{});
   for (int i = 0; i < 200; ++i) {
     scheduler.step();
   }
@@ -198,19 +195,25 @@ TEST(Scheduler, WorksWithExp3Normalisation) {
   EXPECT_NEAR(total, 1.0, 1e-9);
 }
 
-TEST(Scheduler, MismatchedArmCountAborts) {
+TEST(Scheduler, ArmCountFollowsTheBandit) {
+  // The bandit is the one source of the arm count: a 3-arm bandit makes a
+  // 3-arm scheduler whatever config.bandit.num_arms says.
   auto backend = make_backend();
-  MabFuzzConfig config;
-  config.num_arms = 10;
-  EXPECT_DEATH(MabScheduler(backend, make_eps(3), config), "");
+  fuzz::PolicyConfig config;
+  config.bandit.num_arms = 10;
+  MabScheduler scheduler(backend, make_eps(3), config);
+  EXPECT_EQ(scheduler.num_arms(), 3u);
+  for (int i = 0; i < 60; ++i) {
+    EXPECT_LT(scheduler.step().arm.value(), 3u);
+  }
+  EXPECT_THROW((void)scheduler.arm(3), std::out_of_range);
 }
 
 TEST(Scheduler, DetectsEasyBug) {
   auto backend =
       make_backend(soc::CoreKind::kCva6,
                    soc::BugSet::single(soc::BugId::kV5SilentLoadFault));
-  MabFuzzConfig config;
-  MabScheduler scheduler(backend, make_eps(config.num_arms), config);
+  MabScheduler scheduler(backend, make_eps(10), fuzz::PolicyConfig{});
   bool detected = false;
   for (int i = 0; i < 500 && !detected; ++i) {
     detected = scheduler.step().mismatch;

@@ -1,6 +1,7 @@
 // Harness tests: campaign construction for every registered policy,
-// detection measurement, coverage curves, the Fig. 4 speedup/increment
-// math, the shared worker pool and the report renderers.
+// detection accounting through the experiment engine, coverage curves, the
+// Fig. 4 speedup/increment math, the shared worker pool and the report
+// renderers.
 
 #include <gtest/gtest.h>
 
@@ -11,11 +12,12 @@
 #include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "harness/campaign.hpp"
 #include "harness/curves.hpp"
-#include "harness/detection.hpp"
+#include "harness/experiment.hpp"
 #include "harness/report.hpp"
 #include "harness/worker_pool.hpp"
 
@@ -69,37 +71,19 @@ TEST(PolicyLists, CoverThePaperSweeps) {
 
 // --- detection -------------------------------------------------------------------
 
-TEST(Detection, FindsEasyBug) {
-  CampaignConfig config = small_config("thehuzz");
-  config.bugs = soc::BugSet::single(soc::BugId::kV5SilentLoadFault);
-  config.max_tests = 500;
-  const DetectionResult r =
-      measure_detection(config, soc::BugId::kV5SilentLoadFault);
-  EXPECT_TRUE(r.detected);
-  EXPECT_GT(r.tests_to_detection, 0u);
-  EXPECT_LE(r.tests_to_detection, 500u);
-}
-
 TEST(Detection, UndetectedIsCensored) {
-  CampaignConfig config = small_config("thehuzz");
-  config.bugs = soc::BugSet::none();  // nothing can ever mismatch
-  config.max_tests = 50;
-  const DetectionResult r =
-      measure_detection(config, soc::BugId::kV4LostWriteback);
-  EXPECT_FALSE(r.detected);
-  EXPECT_EQ(r.tests_to_detection, 50u);
-}
-
-TEST(Detection, MultiRunAggregates) {
-  CampaignConfig config = small_config("ucb");
-  config.bugs = soc::BugSet::single(soc::BugId::kV5SilentLoadFault);
-  config.max_tests = 500;
-  const DetectionSummary s =
-      measure_detection_multi(config, soc::BugId::kV5SilentLoadFault, 3);
-  EXPECT_EQ(s.runs, 3u);
-  EXPECT_EQ(s.detected_runs, 3u);
-  EXPECT_GT(s.mean_tests, 0.0);
-  EXPECT_EQ(s.per_run_tests.size(), 3u);
+  TrialMatrix matrix;
+  matrix.base = small_config("thehuzz");
+  matrix.base.bugs = soc::BugSet::none();  // nothing can ever mismatch
+  matrix.base.max_tests = 50;
+  ExperimentOptions options;
+  options.target_bug = soc::BugId::kV4LostWriteback;
+  const ExperimentResult result = Experiment(std::move(matrix), options).run();
+  ASSERT_EQ(result.trials.size(), 1u);
+  const TrialResult& trial = result.trials[0];
+  EXPECT_FALSE(trial.target_detected);
+  EXPECT_EQ(trial.stop, StopReason::kMaxTests);
+  EXPECT_EQ(trial.detection_tests, 50u);  // right-censored at the cap
 }
 
 // --- curves -----------------------------------------------------------------------
@@ -107,21 +91,16 @@ TEST(Detection, MultiRunAggregates) {
 TEST(Curves, MonotoneNonDecreasing) {
   CampaignConfig config = small_config("thehuzz");
   config.max_tests = 120;
-  const CoverageCurve curve = measure_coverage(config, 10);
+  config.snapshot_every = 10;
+  Campaign campaign(config);
+  campaign.run();
+  const CoverageCurve curve = curve_from_snapshots(campaign.snapshots());
   ASSERT_FALSE(curve.grid.empty());
   for (std::size_t i = 1; i < curve.covered.size(); ++i) {
     EXPECT_GE(curve.covered[i], curve.covered[i - 1]);
   }
   EXPECT_EQ(curve.grid.back(), 120u);
   EXPECT_GT(curve.universe, 0u);
-}
-
-TEST(Curves, MultiRunAveragesOnSameGrid) {
-  CampaignConfig config = small_config("thehuzz");
-  config.max_tests = 60;
-  const CoverageCurve curve = measure_coverage_multi(config, 20, 2);
-  EXPECT_EQ(curve.grid.size(), 3u);  // 20, 40, 60
-  EXPECT_GT(curve.final_covered, 0.0);
 }
 
 TEST(Curves, TestsToReach) {

@@ -8,10 +8,10 @@
 
 #include <cctype>
 #include <string>
+#include <utility>
 
 #include "harness/campaign.hpp"
-#include "harness/curves.hpp"
-#include "harness/detection.hpp"
+#include "harness/experiment.hpp"
 
 namespace mabfuzz::harness {
 namespace {
@@ -118,29 +118,32 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, CampaignDeterminism,
 TEST(PaperProperties, MabCoverageIsCompetitiveWithBaseline) {
   // At small scale MABFuzz must at least keep pace with TheHuzz on the
   // hard core (the paper's CVA6 gap grows with scale).
-  CampaignConfig base;
-  base.core = soc::CoreKind::kCva6;
-  base.max_tests = 600;
-  base.fuzzer = "thehuzz";
-  const CoverageCurve huzz = measure_coverage_multi(base, 100, 2);
-
-  base.fuzzer = "ucb";
-  const CoverageCurve ucb = measure_coverage_multi(base, 100, 2);
-
-  EXPECT_GT(ucb.final_covered, 0.95 * huzz.final_covered);
+  TrialMatrix matrix;
+  matrix.base.core = soc::CoreKind::kCva6;
+  matrix.base.max_tests = 600;
+  matrix.base.snapshot_every = 100;
+  matrix.fuzzers = {"thehuzz", "ucb"};
+  matrix.trials = 2;
+  const ExperimentResult result = Experiment(std::move(matrix)).run();
+  ASSERT_EQ(result.failed_trials, 0u);
+  const CellStats& huzz = *result.find_cell("thehuzz");
+  const CellStats& ucb = *result.find_cell("ucb");
+  EXPECT_GT(ucb.mean_curve.final_covered, 0.95 * huzz.mean_curve.final_covered);
 }
 
 TEST(PaperProperties, EasyBugFoundQuicklyByEveryFuzzer) {
-  for (const std::string_view policy : kAllPolicies) {
-    CampaignConfig config;
-    config.core = soc::CoreKind::kCva6;
-    config.bugs = soc::BugSet::single(soc::BugId::kV5SilentLoadFault);
-    config.fuzzer = std::string(policy);
-    config.max_tests = 400;
-    const DetectionResult r =
-        measure_detection(config, soc::BugId::kV5SilentLoadFault);
-    EXPECT_TRUE(r.detected) << policy;
-    EXPECT_LT(r.tests_to_detection, 200u) << policy;
+  TrialMatrix matrix;
+  matrix.base.core = soc::CoreKind::kCva6;
+  matrix.base.bugs = soc::BugSet::single(soc::BugId::kV5SilentLoadFault);
+  matrix.base.max_tests = 400;
+  matrix.fuzzers.assign(kAllPolicies.begin(), kAllPolicies.end());
+  ExperimentOptions options;
+  options.target_bug = soc::BugId::kV5SilentLoadFault;
+  const ExperimentResult result = Experiment(std::move(matrix), options).run();
+  ASSERT_EQ(result.trials.size(), kAllPolicies.size());
+  for (const TrialResult& trial : result.trials) {
+    EXPECT_TRUE(trial.target_detected) << trial.fuzzer;
+    EXPECT_LT(trial.detection_tests, 200u) << trial.fuzzer;
   }
 }
 

@@ -140,6 +140,33 @@ TEST(ServiceAdmissionTest, ZeroArmsIsRefusedWithoutHarmingOtherTenants) {
   EXPECT_EQ(service.status("good")->tests_executed, 300u);
 }
 
+TEST(ServiceAdmissionTest, NanRateIsRefusedWithoutHarmingOtherTenants) {
+  // A serve submit is parsed by CampaignConfig::from_pairs before it
+  // reaches submit(): eta=nan must fail there, naming the key, while the
+  // running tenant's job finishes.
+  ServiceConfig config;
+  config.workers = 1;
+  config.slice = 50;
+  CampaignService service(config);
+  service.submit(job("good", tiny(300), "a"));
+  service.start();
+
+  const std::vector<std::string> pairs = {"fuzzer=exp3", "tests=300", "eta=nan"};
+  try {
+    service.submit(job("bad", CampaignConfig::from_pairs(pairs), "b"));
+    FAIL() << "eta=nan was admitted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'eta'"), std::string::npos) << e.what();
+  }
+  EXPECT_FALSE(service.status("bad").has_value());
+
+  service.drain();
+  service.stop();
+  ASSERT_TRUE(service.status("good").has_value());
+  EXPECT_EQ(service.status("good")->state, JobState::kDone);
+  EXPECT_EQ(service.status("good")->tests_executed, 300u);
+}
+
 // --- scheduling -----------------------------------------------------------------
 
 TEST(ServiceSchedulingTest, SingleWorkerCompletesJobsInSubmissionOrder) {

@@ -90,7 +90,7 @@ RULES = {
 }
 
 # Files that feed the deterministic artifact emitters (experiment JSON/CSV,
-# coverage curves, detection reports, corpus serialization, BENCH_*.json).
+# coverage curves, checkpoints, corpus serialization, BENCH_*.json).
 # Nondeterminism in these files can silently change artifact bytes.
 ARTIFACT_PATH_GLOBS = [
     "src/common/json.*",
@@ -98,7 +98,6 @@ ARTIFACT_PATH_GLOBS = [
     "src/harness/experiment.*",
     "src/harness/curves.*",
     "src/harness/report.*",
-    "src/harness/detection.*",
     "src/harness/checkpoint.*",
     "src/harness/service.*",
     "src/fuzz/corpus.*",

@@ -12,9 +12,9 @@ operator would — and the way no unit test can: with a real SIGKILL.
   3. Recovery: start a fresh server, `resume-checkpoint` both jobs from
      the files the dead server left behind, drain, shutdown.
   4. Negative controls: serve one campaign and, while it runs, submit a
-     zero-arm campaign and one with a removed config key. Each bad submit
-     must get one `error:` reply; the daemon must live on and finish the
-     good job with reference-identical artifacts.
+     zero-arm campaign, two with removed config keys and one with
+     eta=nan. Each bad submit must get one `error:` reply; the daemon must
+     live on and finish the good job with reference-identical artifacts.
 
 Validated along the way: every stdout line of every server is one
 parseable JSON event object, replies follow the ok/error wire protocol,
@@ -46,6 +46,8 @@ CHECKPOINT_EVERY = 1000
 BAD_SUBMITS = {
     "bad-arms": "fuzzer=ucb core=rocket tests=300 arms=0",
     "bad-key": "fuzzer=ucb core=rocket tests=300 exec-batch=64",
+    "bad-policy-key": "fuzzer=ucb core=rocket tests=300 feed-op-rewards=true",
+    "bad-nan-rate": "fuzzer=exp3 core=rocket tests=300 eta=nan",
 }
 DEADLINE = 120.0  # seconds; every wait below shares this cap
 
